@@ -301,7 +301,7 @@ NetCell run_net_cell(ipso::serve::Proto proto, std::size_t conns,
   engine_cfg.queue_capacity = conns * batch + 64;
   serve::ServeEngine engine(engine_cfg);
 
-  serve::ServerConfig server_cfg;
+  serve::EventLoopConfig server_cfg;
   server_cfg.listen_backlog = static_cast<int>(std::max<std::size_t>(
       conns, 128));
   serve::TcpServer server(engine, server_cfg);
@@ -409,9 +409,7 @@ struct ReplicaTier {
       cfg.queue_capacity = 4096;
       cfg.cache_capacity = cache_capacity;
       engines.push_back(std::make_unique<serve::ServeEngine>(cfg));
-      servers.push_back(
-          std::make_unique<serve::TcpServer>(*engines.back(),
-                                             serve::ServerConfig{}));
+      servers.push_back(std::make_unique<serve::TcpServer>(*engines.back()));
       if (auto started = servers.back()->start(); !started) {
         std::fprintf(stderr, "router: replica %zu start failed: %s\n", i,
                      started.error().message.c_str());
@@ -646,8 +644,8 @@ bool run_zoo_contract() {
     std::string out = "\"observations\":[";
     for (std::size_t i = 0; i < s.size(); ++i) {
       if (i) out += ",";
-      out += "[" + trace::json_double(s[i].x) + "," +
-             trace::json_double(s[i].y) + "]";
+      out.append("[").append(trace::json_double(s[i].x)).append(",");
+      out.append(trace::json_double(s[i].y)).append("]");
     }
     return out + "]";
   };

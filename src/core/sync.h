@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -27,12 +26,12 @@
 ///
 ///   IPSO_CAPABILITY / IPSO_SCOPED_CAPABILITY        type declarations
 ///   IPSO_GUARDED_BY / IPSO_PT_GUARDED_BY            data members
-///   IPSO_REQUIRES / IPSO_REQUIRES_SHARED            "call me locked"
-///   IPSO_ACQUIRE / IPSO_RELEASE (+ _SHARED)         lock/unlock functions
-///   IPSO_TRY_ACQUIRE (+ _SHARED)                    conditional acquisition
+///   IPSO_REQUIRES                                   "call me locked"
+///   IPSO_ACQUIRE / IPSO_RELEASE                     lock/unlock functions
+///   IPSO_TRY_ACQUIRE                                conditional acquisition
 ///   IPSO_EXCLUDES                                   "call me UNlocked"
 ///   IPSO_ACQUIRED_BEFORE / IPSO_ACQUIRED_AFTER      static lock order
-///   IPSO_ASSERT_CAPABILITY (+ _SHARED)              runtime-checked holds
+///   IPSO_ASSERT_CAPABILITY                          runtime-checked holds
 ///   IPSO_RETURN_CAPABILITY                          capability getters
 ///   IPSO_NO_THREAD_SAFETY_ANALYSIS                  opt-out (justify it!)
 ///
@@ -58,25 +57,15 @@
   IPSO_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 #define IPSO_REQUIRES(...) \
   IPSO_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define IPSO_REQUIRES_SHARED(...) \
-  IPSO_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define IPSO_ACQUIRE(...) \
   IPSO_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define IPSO_ACQUIRE_SHARED(...) \
-  IPSO_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define IPSO_RELEASE(...) \
   IPSO_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define IPSO_RELEASE_SHARED(...) \
-  IPSO_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define IPSO_TRY_ACQUIRE(...) \
   IPSO_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define IPSO_TRY_ACQUIRE_SHARED(...) \
-  IPSO_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 #define IPSO_EXCLUDES(...) IPSO_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define IPSO_ASSERT_CAPABILITY(x) \
   IPSO_THREAD_ANNOTATION(assert_capability(x))
-#define IPSO_ASSERT_SHARED_CAPABILITY(x) \
-  IPSO_THREAD_ANNOTATION(assert_shared_capability(x))
 #define IPSO_RETURN_CAPABILITY(x) IPSO_THREAD_ANNOTATION(lock_returned(x))
 #define IPSO_NO_THREAD_SAFETY_ANALYSIS \
   IPSO_THREAD_ANNOTATION(no_thread_safety_analysis)
@@ -254,31 +243,6 @@ class IPSO_CAPABILITY("mutex") Mutex {
 #endif
 };
 
-/// Annotated reader/writer mutex (no stats instrumentation: none of the
-/// current shared-lock sites are contention suspects; add it when one is).
-class IPSO_CAPABILITY("mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() IPSO_ACQUIRE() { mu_.lock(); }
-  void unlock() IPSO_RELEASE() { mu_.unlock(); }
-  bool try_lock() IPSO_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void lock_shared() IPSO_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() IPSO_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool try_lock_shared() IPSO_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
-  void assert_held() const IPSO_ASSERT_CAPABILITY(this) {}
-  void assert_held_shared() const IPSO_ASSERT_SHARED_CAPABILITY(this) {}
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive guard over Mutex, with the early-unlock / re-lock shape
 /// the engine and cache need. The destructor releases iff still held, and
 /// the analysis tracks the scoped state across unlock()/lock() pairs.
@@ -307,36 +271,6 @@ class IPSO_SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mu_;
   bool held_ = true;
-};
-
-/// RAII exclusive guard over SharedMutex (writer side).
-class IPSO_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) IPSO_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterLock() IPSO_RELEASE() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared guard over SharedMutex (reader side).
-class IPSO_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) IPSO_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() IPSO_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable that waits on a sync::Mutex directly (the Mutex is a

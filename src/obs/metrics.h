@@ -132,8 +132,9 @@ class MetricsRegistry {
       IPSO_EXCLUDES(mu_);
 
   /// Guards the name maps and the shard list (DESIGN.md §13, capability
-  /// "obs.registry" — a leaf: the engine increments instruments while
-  /// holding its own mutex, so nothing here may call back out). Shard
+  /// "obs.registry" — a leaf: callers update instruments while holding
+  /// their own mutexes, e.g. ExecPool::submit runs under the serve
+  /// engine's admission lock, so nothing here may call back out). Shard
   /// *contents* are relaxed atomics read while writers run; only the list
   /// and the name tables need the lock.
   mutable sync::Mutex mu_;

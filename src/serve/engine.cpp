@@ -17,27 +17,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Cached-id obs instruments (one relaxed load per site when disabled).
-struct Instruments {
-  obs::Counter received{"serve.requests_received"};
-  obs::Counter completed{"serve.requests_completed"};
-  obs::Counter overloaded{"serve.requests_overloaded"};
-  obs::Counter draining{"serve.requests_rejected_draining"};
-  obs::Counter deadline{"serve.requests_deadline_exceeded"};
-  obs::Counter parse_errors{"serve.requests_parse_error"};
-  obs::Counter cache_hits{"serve.fit_cache_hits"};
-  obs::Counter cache_misses{"serve.fit_cache_misses"};
-  obs::Counter coalesced{"serve.fit_coalesced"};
-  obs::Gauge queue_depth{"serve.queue_depth"};
-  obs::Histogram latency{"serve.request_latency_seconds"};
-  obs::Histogram queue_wait{"serve.queue_wait_seconds"};
-};
-
-Instruments& instruments() {
-  static Instruments i;
-  return i;
-}
-
 /// Predictor for a request that carried explicit asymptotic params: the
 /// materialized exact factor curves under those asymptotics.
 SpeedupPredictor predictor_from_params(const AsymptoticParams& p) {
@@ -48,8 +27,7 @@ SpeedupPredictor predictor_from_params(const AsymptoticParams& p) {
 
 ServeEngine::ServeEngine(ServeConfig cfg)
     : cfg_(std::move(cfg)),
-      store_(store::TieredStoreConfig{cfg_.cache_capacity, cfg_.store_dir,
-                                      cfg_.store_segment_bytes}),
+      store_(store::TieredStoreConfig{cfg_.cache_capacity, cfg_.store_dir}),
       store_status_(store_.open()),
       observations_(cfg_.observe),
       pool_(cfg_.threads) {}
@@ -74,8 +52,6 @@ void ServeEngine::submit_async(std::string line,
       ++stats_.received;  // every arrival counts, rejected or not
       ++stats_.parse_errors;
     }
-    instruments().received.add();
-    instruments().parse_errors.add();
     done(error_response({}, Op::kUnknown, "parse_error", parsed.error()));
     return;
   }
@@ -89,8 +65,6 @@ void ServeEngine::submit_async(std::string line,
     if (draining_) {
       ++stats_.received;
       ++stats_.rejected_draining;
-      instruments().received.add();
-      instruments().draining.add();
       lock.unlock();
       done(error_response(req.id, req.op, "draining",
                           "server is draining; not accepting "
@@ -100,8 +74,6 @@ void ServeEngine::submit_async(std::string line,
     if (stats_.queue_depth >= cfg_.queue_capacity) {
       ++stats_.received;
       ++stats_.overloaded;
-      instruments().received.add();
-      instruments().overloaded.add();
       lock.unlock();
       done(error_response(
           req.id, req.op, "overloaded",
@@ -113,17 +85,19 @@ void ServeEngine::submit_async(std::string line,
     ++stats_.queue_depth;
     stats_.peak_queue_depth =
         std::max(stats_.peak_queue_depth, stats_.queue_depth);
-    instruments().received.add();
-    instruments().queue_depth.set(static_cast<double>(stats_.queue_depth));
 
     // Enqueue while still holding mu_: once drain() observes draining_ set,
     // every admitted request is already in the pool queue, so wait_idle()
     // cannot return before it runs.
     pool_.submit([this, done = std::move(done), admitted_at, deadline_ms,
                   req = std::move(req)]() mutable {
+      // The engine's counts live in ServeStats and the store's stats; obs
+      // records only these two distributions, which have no typed twin.
+      static const obs::Histogram queue_wait("serve.queue_wait_seconds");
+      static const obs::Histogram latency("serve.request_latency_seconds");
       const double waited =
           std::chrono::duration<double>(Clock::now() - admitted_at).count();
-      instruments().queue_wait.observe(waited);
+      queue_wait.observe(waited);
       std::string response;
       const bool expired = deadline_ms > 0.0 && waited * 1e3 > deadline_ms;
       if (expired) {
@@ -135,7 +109,6 @@ void ServeEngine::submit_async(std::string line,
           sync::MutexLock lock(mu_);
           ++stats_.deadline_expired;
         }
-        instruments().deadline.add();
         response = error_response(
             req.id, req.op, "deadline_exceeded",
             "request spent longer than its deadline in the queue");
@@ -146,15 +119,13 @@ void ServeEngine::submit_async(std::string line,
                            : "\"id\":\"" + trace::json_escape(req.id) + "\"");
         response = process(req);
       }
-      instruments().latency.observe(
+      latency.observe(
           std::chrono::duration<double>(Clock::now() - admitted_at).count());
       {
         sync::MutexLock lock(mu_);
         if (!expired) ++stats_.completed;
         --stats_.queue_depth;
-        instruments().queue_depth.set(static_cast<double>(stats_.queue_depth));
       }
-      if (!expired) instruments().completed.add();
       done(std::move(response));
     });
   }
@@ -200,20 +171,11 @@ std::size_t ServeEngine::fits_performed() const {
 
 store::TieredStore::Result ServeEngine::cached_fit(const Request& req) {
   const std::string key =
-      canonical_fit_key(req.workload, req.eta, req.ex, req.in, req.q);
-  store::TieredStore::Result result =
-      store_.get_or_compute(key, [this, &req] {
-        if (cfg_.fit_hook) cfg_.fit_hook();
-        return FitOutcome{fit_factors(req.workload, req.measurements())};
-      });
-  if (result.hit) {
-    instruments().cache_hits.add();
-  } else if (result.coalesced) {
-    instruments().coalesced.add();
-  } else {
-    instruments().cache_misses.add();
-  }
-  return result;
+      store::canonical_fit_key(req.workload, req.eta, req.ex, req.in, req.q);
+  return store_.get_or_compute(key, [this, &req] {
+    if (cfg_.fit_hook) cfg_.fit_hook();
+    return store::FitOutcome{fit_factors(req.workload, req.measurements())};
+  });
 }
 
 std::string ServeEngine::process(const Request& req) {
@@ -403,13 +365,6 @@ std::string ServeEngine::dispatch_compare(const Request& req) {
           if (cfg_.fit_hook) cfg_.fit_hook();
           return store::FitOutcome{models::IpsoModel::fit_observations(o)};
         });
-    if (r.hit) {
-      instruments().cache_hits.add();
-    } else if (r.coalesced) {
-      instruments().coalesced.add();
-    } else {
-      instruments().cache_misses.add();
-    }
     return r.outcome->fits;
   };
   const Expected<models::ZooResult> zoo = zoo_.compare(obs, hook);

@@ -2,7 +2,6 @@
 
 #include "models/zoo.h"
 #include "runtime/exec_pool.h"
-#include "serve/fit_cache.h"
 #include "serve/observe.h"
 #include "serve/proto.h"
 #include "store/tiered_store.h"
@@ -38,9 +37,10 @@
 ///    and returns once every admitted request has completed; the destructor
 ///    drains implicitly.
 ///
-/// Everything is instrumented through ipso::obs: queue-depth gauge, cache
-/// hit/miss/coalesce counters, per-request latency histograms, and a span
-/// per request (visible in the Chrome trace when --trace-out is active).
+/// Counts live in one place each: ServeStats for admission and outcomes,
+/// the store's stats for hits, misses and tier crossings. ipso::obs adds
+/// what has no count: latency and queue-wait histograms and a span per
+/// request (visible in the Chrome trace when --trace-out is active).
 
 namespace ipso::serve {
 
@@ -56,8 +56,6 @@ struct ServeConfig {
   /// fits evicted from DRAM spill to versioned checksummed segments and a
   /// restarted engine serves them back without re-fitting (warm restart).
   std::string store_dir;
-  /// Active segment roll-over size for the persistent tier.
-  std::uint64_t store_segment_bytes = 4ull << 20;
   /// Deadline applied when a request carries none; 0 = no deadline.
   double default_deadline_ms = 0.0;
   /// Streaming observation windows behind the observe/compare ops:

@@ -41,7 +41,8 @@
 
 namespace ipso::serve {
 
-/// Event-loop configuration (TcpServer translates ServerConfig into this).
+/// Front-end configuration: TcpServer takes it as is, and Router holds
+/// one as RouterConfig::front.
 struct EventLoopConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;          ///< 0 = ephemeral
@@ -93,10 +94,6 @@ class EventLoopServer {
 
   /// The bound port (resolves ephemeral port 0); 0 before start().
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-
-  [[nodiscard]] std::size_t connections_accepted() const noexcept {
-    return stats_.connections_accepted.load(std::memory_order_relaxed);
-  }
 
   [[nodiscard]] NetStats stats() const noexcept;
 

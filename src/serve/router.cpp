@@ -1,27 +1,11 @@
 #include "serve/router.h"
 
-#include "serve/fit_cache.h"
+#include "store/fit_cache.h"
 
 #include <sstream>
 #include <utility>
 
 namespace ipso::serve {
-
-namespace {
-
-EventLoopConfig loop_config(const RouterConfig& cfg) {
-  EventLoopConfig out;
-  out.host = cfg.host;
-  out.port = cfg.port;
-  out.shards = cfg.shards;
-  out.max_frame_bytes = cfg.max_frame_bytes;
-  out.write_high_watermark = cfg.write_high_watermark;
-  out.write_low_watermark = cfg.write_low_watermark;
-  out.listen_backlog = cfg.listen_backlog;
-  return out;
-}
-
-}  // namespace
 
 Router::Router(RouterConfig cfg)
     : cfg_(std::move(cfg)),
@@ -29,7 +13,7 @@ Router::Router(RouterConfig cfg)
           [this](std::string record, std::function<void(std::string)> done) {
             route(std::move(record), std::move(done));
           },
-          loop_config(cfg_)) {
+          cfg_.front) {
   if (cfg_.connections_per_replica == 0) cfg_.connections_per_replica = 1;
   if (cfg_.max_upstream_batch == 0) cfg_.max_upstream_batch = 1;
 }
@@ -173,7 +157,7 @@ void Router::route(std::string record,
   } else if (parsed.has_value() && parsed->has_observations()) {
     // Keyed: the same canonical bytes the replica's fit cache will key on,
     // so placement and caching agree about key identity by construction.
-    const std::string key = canonical_fit_key(
+    const std::string key = store::canonical_fit_key(
         parsed->workload, parsed->eta, parsed->ex, parsed->in, parsed->q);
     replica = placement_->replica_for(key);
     id = parsed->id;

@@ -1,14 +1,12 @@
 #pragma once
 
 #include "core/expected.h"
-#include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/event_loop.h"
 #include "serve/transport.h"
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 /// \file server.h
 /// The TCP front end of ipso::serve. Since PR 6 the listener is an epoll
@@ -16,9 +14,9 @@
 /// connections over non-blocking sockets, and two wire protocols are
 /// negotiated per connection from the first byte — newline-delimited JSON
 /// (compatibility mode, byte-identical to the PR 4/5 protocol) and the
-/// length-prefixed binary batched format (framing.h). TcpServer keeps its
-/// original surface: construct with an engine, start(), port(),
-/// connections_accepted(), shutdown().
+/// length-prefixed binary batched format (framing.h). TcpServer binds a
+/// ServeEngine to that loop: construct with an engine and an
+/// EventLoopConfig, start(), port(), net_stats(), shutdown().
 ///
 /// Shutdown semantics (the CI smoke test's contract): shutdown() stops
 /// accepting and reading immediately (eventfd wakeup, no poll tick), drains
@@ -28,24 +26,11 @@
 
 namespace ipso::serve {
 
-/// Listener configuration. The first two fields keep their PR-4 order so
-/// `ServerConfig{host, port}` aggregate initialization stays valid; the
-/// rest tune the event loop and default sensibly.
-struct ServerConfig {
-  std::string host = "127.0.0.1";  ///< bind address
-  std::uint16_t port = 0;          ///< 0 = ephemeral (read back via port())
-  std::size_t shards = 1;          ///< epoll loop threads
-  std::size_t max_frame_bytes = 16u << 20;      ///< frame/line size bound
-  std::size_t write_high_watermark = 4u << 20;  ///< pause reads above
-  std::size_t write_low_watermark = 1u << 20;   ///< resume reads below
-  int listen_backlog = 1024;
-};
-
 class TcpServer {
  public:
   /// The engine must outlive the server. Construction does not bind;
   /// call start().
-  TcpServer(ServeEngine& engine, ServerConfig cfg = {});
+  TcpServer(ServeEngine& engine, EventLoopConfig cfg = {});
 
   /// Joins every thread and closes every socket (implicit shutdown()).
   ~TcpServer();
@@ -64,44 +49,14 @@ class TcpServer {
   /// flushes and closes every connection, joins all threads. Idempotent.
   void shutdown();
 
-  /// Connections accepted so far.
-  std::size_t connections_accepted() const noexcept {
-    return loop_.connections_accepted();
-  }
-
-  /// Event-loop counter snapshot (wakeups, frames, bytes, stalls).
+  /// Event-loop counter snapshot (connections, wakeups, frames, bytes,
+  /// stalls).
   NetStats net_stats() const noexcept { return loop_.stats(); }
 
  private:
   ServeEngine& engine_;
   EventLoopServer loop_;
   std::atomic<bool> shut_down_{false};
-};
-
-/// Minimal blocking JSON-lines client, kept for source compatibility with
-/// the PR 4/5 surface; new code should use serve::Client (client.h), which
-/// this wraps.
-class TcpClient {
- public:
-  TcpClient() = default;
-  ~TcpClient() = default;
-
-  TcpClient(const TcpClient&) = delete;
-  TcpClient& operator=(const TcpClient&) = delete;
-
-  /// Connects to host:port; error string names syscall + errno text.
-  Expected<bool, NetError> connect(const std::string& host,
-                                      std::uint16_t port);
-
-  /// Sends one request line (terminating '\n' appended) and reads one
-  /// response line.
-  Expected<std::string, NetError> roundtrip(const std::string& line);
-
-  void close() { client_.close(); }
-  bool connected() const noexcept { return client_.connected(); }
-
- private:
-  Client client_{Proto::kJson};
 };
 
 }  // namespace ipso::serve

@@ -21,28 +21,4 @@ PhaseBreakdown PhaseBreakdown::quantized(double precision) const noexcept {
   return q;
 }
 
-void Trace::record(const std::string& phase, double seconds) {
-  samples_[phase].push_back(seconds);
-}
-
-double Trace::total(const std::string& phase) const noexcept {
-  const auto it = samples_.find(phase);
-  if (it == samples_.end()) return 0.0;
-  double acc = 0.0;
-  for (double s : it->second) acc += s;
-  return acc;
-}
-
-std::size_t Trace::count(const std::string& phase) const noexcept {
-  const auto it = samples_.find(phase);
-  return it == samples_.end() ? 0 : it->second.size();
-}
-
-std::vector<std::string> Trace::phases() const {
-  std::vector<std::string> out;
-  out.reserve(samples_.size());
-  for (const auto& [name, _] : samples_) out.push_back(name);
-  return out;
-}
-
 }  // namespace ipso::sim

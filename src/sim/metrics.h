@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cmath>
-#include <map>
-#include <string>
-#include <vector>
 
 /// \file metrics.h
 /// Phase-level timing capture for simulated job executions. The paper's
@@ -37,25 +34,6 @@ struct PhaseBreakdown {
   /// testbed measured with 1-second precision; sub-second map phases became
   /// unmeasurable). Returns the quantized copy.
   PhaseBreakdown quantized(double precision) const noexcept;
-};
-
-/// Named duration samples for ad-hoc instrumentation of engines.
-class Trace {
- public:
-  /// Records one sample for `phase`.
-  void record(const std::string& phase, double seconds);
-
-  /// Sum of samples for `phase` (0 when absent).
-  double total(const std::string& phase) const noexcept;
-
-  /// Number of samples for `phase`.
-  std::size_t count(const std::string& phase) const noexcept;
-
-  /// All phase names seen, sorted.
-  std::vector<std::string> phases() const;
-
- private:
-  std::map<std::string, std::vector<double>> samples_;
 };
 
 }  // namespace ipso::sim

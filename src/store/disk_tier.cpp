@@ -218,27 +218,6 @@ IoStatus DiskTier::put(const std::string& key, std::string_view value) {
   return {};
 }
 
-std::size_t DiskTier::invalidate(const std::string& key) {
-  if (!open_) return 0;
-  const auto it = index_.find(fnv1a64(key));
-  if (it == index_.end()) return 0;
-  std::size_t dropped = 0;
-  auto& slots = it->second;
-  for (std::size_t i = 0; i < slots.size();) {
-    // Full-key verification: a hash sibling of `key` must survive.
-    if (read_record(slots[i], key).has_value()) {
-      slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(i));
-      ++dropped;
-    } else {
-      ++i;
-    }
-  }
-  if (slots.empty()) index_.erase(it);
-  stats_.records -= std::min(stats_.records, dropped);
-  stats_.invalidated += dropped;
-  return dropped;
-}
-
 IoStatus DiskTier::flush() {
   if (!open_ || !active_.is_open()) return {};
   return active_.sync();

@@ -60,7 +60,6 @@ struct DiskTierStats {
   std::size_t truncated = 0;
   std::size_t bad_segments = 0;
   std::size_t read_errors = 0;  ///< get() decode/IO failures
-  std::size_t invalidated = 0;  ///< index entries dropped by invalidate()
 
   [[nodiscard]] std::size_t skipped_total() const noexcept {
     return skipped_checksum + skipped_version + truncated + bad_segments;
@@ -88,14 +87,6 @@ class DiskTier {
   /// (values are a deterministic function of the key, so the first record
   /// wins and repeats are dropped).
   [[nodiscard]] IoStatus put(const std::string& key, std::string_view value);
-
-  /// Drops every index entry for `key` (full-key verified), making it
-  /// unreachable to get(). The record bytes stay orphaned in their segment
-  /// until compaction (a roadmap item) — because keys embed the whole
-  /// observation window, a superseded window's record can never alias a
-  /// new window's key, so orphaning is hygiene, not a correctness risk.
-  /// Returns the number of entries dropped.
-  std::size_t invalidate(const std::string& key);
 
   /// fsyncs the active segment (the manifest is always already durable).
   [[nodiscard]] IoStatus flush();

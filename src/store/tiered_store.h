@@ -43,8 +43,6 @@ struct TieredStoreConfig {
   /// Empty => DRAM-only (tier 1 disabled).
   std::string store_dir;
   std::uint64_t max_segment_bytes = 4ull << 20;
-  /// Minimum sketch estimate for a DRAM-evicted outcome to be spilled.
-  std::uint32_t spill_min_freq = 2;
 };
 
 /// Tier-crossing counters (DRAM-tier counters live in FitCache::Stats).
@@ -54,7 +52,7 @@ struct TierStats {
   std::size_t spill_rejected = 0;   ///< evictions judged too cold to keep
   std::size_t spill_errors = 0;     ///< I/O or encode failures on spill
   std::size_t decode_failures = 0;  ///< disk records that failed to decode
-  std::size_t invalidations = 0;    ///< invalidate() calls that dropped data
+  std::size_t invalidations = 0;    ///< invalidate() calls that dropped DRAM
 };
 
 class TieredStore {
@@ -89,11 +87,12 @@ class TieredStore {
   /// come from disk, not from lingering DRAM).
   void clear_memory();
 
-  /// Drops `key` from every tier: the READY DRAM entry and the disk index
-  /// entries (record bytes stay orphaned until compaction). The observe
-  /// path calls this when a workload's window changes materially — the
-  /// superseded window's fit must not survive anywhere, so the next
-  /// compare is a genuine refit. Returns true when anything was dropped.
+  /// Drops the READY DRAM entry for `key`; the disk tier is untouched. The
+  /// observe path calls this when a workload's window changes materially,
+  /// so the superseded fit stops occupying DRAM. Keys are derived from
+  /// content, so a changed window never reads the old fit: a persisted
+  /// copy stays correct for its own window and is reused only if that
+  /// exact window comes back. Returns true when a DRAM entry was dropped.
   bool invalidate(const std::string& key) IPSO_EXCLUDES(mu_);
 
   struct Stats {

@@ -196,13 +196,18 @@ Expected<std::size_t, FlagError> size_flag_from_args(
                                std::string(v) + "'"};
   }
   if (n < min_value || n > max_value) {
-    std::string range = "[" + std::to_string(min_value) + ", " +
-                        (max_value == std::numeric_limits<std::size_t>::max()
-                             ? std::string("inf")
-                             : std::to_string(max_value)) +
-                        "]";
-    return FlagError{flag,
-                     "value " + std::to_string(n) + " outside " + range};
+    // Built by appending: `"[" + std::to_string(...)` trips a gcc 12
+    // -Wrestrict false positive inside libstdc++.
+    std::string message = "value ";
+    message += std::to_string(n);
+    message += " outside [";
+    message += std::to_string(min_value);
+    message += ", ";
+    message += max_value == std::numeric_limits<std::size_t>::max()
+                   ? std::string("inf")
+                   : std::to_string(max_value);
+    message += "]";
+    return FlagError{flag, message};
   }
   return static_cast<std::size_t>(n);
 }

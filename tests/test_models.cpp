@@ -451,8 +451,8 @@ TEST(ServeObserve, InlineCompareMatchesKeyedScoreboard) {
     engine.handle(observe_request("job", n, s));
     if (!first) inline_req += ",";
     first = false;
-    inline_req += "[" + trace::json_double(n) + "," + trace::json_double(s) +
-                  "]";
+    inline_req.append("[").append(trace::json_double(n)).append(",");
+    inline_req.append(trace::json_double(s)).append("]");
   }
   inline_req += "]}";
 
@@ -521,8 +521,8 @@ TEST(ServeObserve, WarmRestartServesCompareByteIdenticalWithoutRefit) {
   for (const double n : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
     if (!first) inline_req += ",";
     first = false;
-    inline_req += "[" + trace::json_double(n) + "," +
-                  trace::json_double(n / (1.0 + 0.03 * n)) + "]";
+    inline_req.append("[").append(trace::json_double(n)).append(",");
+    inline_req.append(trace::json_double(n / (1.0 + 0.03 * n))).append("]");
   }
   inline_req += "]}";
 
@@ -543,6 +543,64 @@ TEST(ServeObserve, WarmRestartServesCompareByteIdenticalWithoutRefit) {
     // The IPSO member was promoted from disk, not re-fitted.
     EXPECT_EQ(engine.fits_performed(), 0u);
     EXPECT_GE(engine.store_stats().tier.disk_hits, 1u);
+  }
+}
+
+TEST(ServeObserve, DrainedRecordCountIsWhatTheNextOpenRecovers) {
+  // Invalidation is DRAM-only: a material observe drops the superseded
+  // zoo fit from DRAM and leaves its disk record, which stays right for
+  // its own window because keys derive from content. So the record count
+  // a drain reports is what the next open recovers, and a restarted engine
+  // answers each window's compare as before, without a refit.
+  TempDir dir;
+  ServeConfig cfg;
+  cfg.store_dir = dir.str();
+  const auto observe_window = [](ServeEngine& engine) {
+    for (const double n : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
+      ASSERT_TRUE(is_ok(
+          engine.handle(observe_request("job", n, n / (1.0 + 0.02 * n)))));
+    }
+  };
+  const std::string material = observe_request("job", 8.0, 2.0);
+
+  std::string original;
+  {
+    ServeEngine engine(cfg);
+    ASSERT_TRUE(engine.store_status());
+    observe_window(engine);
+    original = engine.handle(compare_request("job"));
+    ASSERT_TRUE(is_ok(original)) << original;
+    engine.drain();
+    EXPECT_EQ(engine.store_stats().disk.records, 1u);
+  }
+  std::string moved;
+  std::size_t drained = 0;
+  {
+    ServeEngine engine(cfg);
+    ASSERT_TRUE(engine.store_status());
+    observe_window(engine);
+    EXPECT_EQ(engine.handle(compare_request("job")), original);
+    EXPECT_EQ(engine.fits_performed(), 0u);  // promoted from disk
+    const std::string r = engine.handle(material);
+    ASSERT_NE(r.find("\"material\":true"), std::string::npos) << r;
+    moved = engine.handle(compare_request("job"));
+    ASSERT_TRUE(is_ok(moved)) << moved;
+    EXPECT_NE(moved, original);
+    EXPECT_EQ(engine.fits_performed(), 1u);
+    engine.drain();
+    drained = engine.store_stats().disk.records;
+    EXPECT_EQ(drained, 2u);
+  }
+  {
+    ServeEngine engine(cfg);
+    ASSERT_TRUE(engine.store_status());
+    EXPECT_EQ(engine.store_stats().disk.recovered, drained);
+    EXPECT_EQ(engine.store_stats().disk.records, drained);
+    observe_window(engine);
+    EXPECT_EQ(engine.handle(compare_request("job")), original);
+    ASSERT_TRUE(is_ok(engine.handle(material)));
+    EXPECT_EQ(engine.handle(compare_request("job")), moved);
+    EXPECT_EQ(engine.fits_performed(), 0u);
   }
 }
 

@@ -104,7 +104,9 @@ TEST_F(ObsTest, RegistryCapReturnsInvalidInstrument) {
   MetricsRegistry reg;
   std::size_t last = 0;
   for (std::size_t i = 0; i < kMaxGauges; ++i) {
-    last = reg.gauge_id("g" + std::to_string(i));
+    std::string name = "g";
+    name += std::to_string(i);
+    last = reg.gauge_id(name);
     EXPECT_NE(last, kInvalidInstrument);
   }
   EXPECT_EQ(reg.gauge_id("one-too-many"), kInvalidInstrument);
@@ -140,7 +142,7 @@ TEST_F(ObsTest, RingOverwritesOldestAndCountsDrops) {
   const SpanRecord base{"s", "t", "", 0, 0.0, 1.0};
   for (int i = 0; i < 6; ++i) {
     SpanRecord rec = base;
-    rec.name = "s" + std::to_string(i);
+    rec.name += std::to_string(i);  // "s0" .. "s5"
     small.record(rec);
   }
   const auto spans = small.spans();

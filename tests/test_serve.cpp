@@ -1,7 +1,8 @@
+#include "serve/client.h"
 #include "serve/engine.h"
-#include "serve/fit_cache.h"
 #include "serve/proto.h"
 #include "serve/server.h"
+#include "store/fit_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,9 @@ namespace ipso::serve {
 namespace {
 
 using namespace std::chrono_literals;
+using store::canonical_fit_key;
+using store::FitCache;
+using store::FitOutcome;
 
 /// A fit request over factors a fixed-time fit accepts (positive IN). The
 /// seed perturbs EX so distinct seeds are distinct cache keys.
@@ -506,6 +510,36 @@ TEST(ServeEngine, StatsConserveAcrossEveryOutcome) {
                             s.rejected_draining + s.parse_errors);
 }
 
+TEST(ServeEngine, StatsReplyIsPinnedByteForByte) {
+  // The whole `stats` reply after a fixed sequence on a fresh
+  // single-thread engine: a fit miss, the same fit as a hit, a parse
+  // error, and an observe. Field names, order and values are wire format;
+  // the stats op itself is received and in flight (queue_depth 1) while
+  // it renders.
+  ServeEngine engine(threads_config(1));
+  ASSERT_TRUE(is_ok(engine.handle(fit_request(70))));
+  ASSERT_TRUE(is_ok(engine.handle(fit_request(70))));
+  ASSERT_TRUE(has_error(engine.handle("{\"op\":"), "parse_error"));
+  ASSERT_TRUE(is_ok(engine.handle(
+      "{\"op\":\"observe\",\"key\":\"w\",\"n\":2,\"value\":1.5}")));
+  EXPECT_EQ(
+      engine.handle("{\"op\":\"stats\",\"id\":\"s1\"}"),
+      "{\"id\":\"s1\",\"op\":\"stats\",\"ok\":true,\"result\":{"
+      "\"threads\":1,\"queue_capacity\":256,\"received\":5,"
+      "\"completed\":3,\"overloaded\":0,\"rejected_draining\":0,"
+      "\"deadline_exceeded\":0,\"parse_errors\":1,\"queue_depth\":1,"
+      "\"peak_queue_depth\":1,"
+      "\"cache\":{\"capacity\":128,\"size\":1,\"hits\":1,\"misses\":1,"
+      "\"coalesced\":0,\"evictions\":0},"
+      "\"store\":{\"persistent\":false,\"disk_hits\":0,\"spilled\":0,"
+      "\"spill_rejected\":0,\"spill_errors\":0,\"decode_failures\":0,"
+      "\"records\":0,\"segments\":0,\"bytes\":0,\"recovered\":0,"
+      "\"skipped\":0,\"invalidations\":0},"
+      "\"observe\":{\"keys\":1,\"points\":1,\"observed\":1,"
+      "\"material\":1,\"absorbed\":0,\"evicted_keys\":0},"
+      "\"fits_performed\":1}}");
+}
+
 TEST(ServeEngine, LruEvictionForcesRefit) {
   ServeConfig cfg;
   cfg.threads = 1;
@@ -539,36 +573,36 @@ TEST(ServeEngine, DiagnoseRoundTrip) {
 
 TEST(ServeTcp, RoundTripAndShutdownDrains) {
   ServeEngine engine(threads_config(2));
-  TcpServer server(engine, ServerConfig{"127.0.0.1", 0});
+  TcpServer server(engine, EventLoopConfig{"127.0.0.1", 0});
   auto started = server.start();
   ASSERT_TRUE(started.has_value()) << started.error().message;
   ASSERT_NE(server.port(), 0);
 
-  TcpClient client;
+  Client client(Proto::kJson);
   auto connected = client.connect("127.0.0.1", server.port());
   ASSERT_TRUE(connected.has_value()) << connected.error().message;
 
-  auto pong = client.roundtrip("{\"op\":\"ping\",\"id\":\"t1\"}");
+  auto pong = client.call("{\"op\":\"ping\",\"id\":\"t1\"}");
   ASSERT_TRUE(pong.has_value()) << pong.error().message;
   EXPECT_EQ(*pong,
             "{\"id\":\"t1\",\"op\":\"ping\",\"ok\":true,"
             "\"result\":{\"pong\":true}}");
 
   // A malformed line gets an error response; the connection survives.
-  auto bad = client.roundtrip("{broken");
+  auto bad = client.call("{broken");
   ASSERT_TRUE(bad.has_value()) << bad.error().message;
   EXPECT_TRUE(has_error(*bad, "parse_error"));
 
-  auto fit = client.roundtrip(fit_request(50));
+  auto fit = client.call(fit_request(50));
   ASSERT_TRUE(fit.has_value()) << fit.error().message;
   EXPECT_TRUE(is_ok(*fit)) << *fit;
   // The same fit over TCP is served from cache, byte-identical.
-  auto fit_again = client.roundtrip(fit_request(50));
+  auto fit_again = client.call(fit_request(50));
   ASSERT_TRUE(fit_again.has_value()) << fit_again.error().message;
   EXPECT_EQ(*fit, *fit_again);
   EXPECT_EQ(engine.fits_performed(), 1u);
 
-  EXPECT_EQ(server.connections_accepted(), 1u);
+  EXPECT_EQ(server.net_stats().connections_accepted, 1u);
   server.shutdown();
   EXPECT_TRUE(engine.draining());
   // Post-shutdown the engine refuses new work.
@@ -586,9 +620,9 @@ TEST(ServeTcp, ConcurrentConnectionsShareTheCache) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TcpClient client;
+      Client client(Proto::kJson);
       if (!client.connect("127.0.0.1", server.port())) return;
-      if (auto r = client.roundtrip(fit_request(60))) responses[c] = *r;
+      if (auto r = client.call(fit_request(60))) responses[c] = *r;
     });
   }
   for (auto& t : clients) t.join();
@@ -601,7 +635,7 @@ TEST(ServeTcp, ConcurrentConnectionsShareTheCache) {
   // One underlying fit across all connections (hit or coalesced for the
   // rest).
   EXPECT_EQ(engine.fits_performed(), 1u);
-  EXPECT_EQ(server.connections_accepted(), kClients);
+  EXPECT_EQ(server.net_stats().connections_accepted, kClients);
 }
 
 }  // namespace

@@ -451,9 +451,9 @@ TEST_F(ServeWireTest, GarbageAfterMagicGetsErrorFrameAndClose) {
 }
 
 TEST_F(ServeWireTest, JsonModeProtocolErrorAnswersInlineAndCloses) {
-  // A server with a 64-byte line bound (ServerConfig field 4 is
+  // A server with a 64-byte line bound (EventLoopConfig field 4 is
   // max_frame_bytes, which also caps JSON line length).
-  TcpServer tiny_server(*engine_, ServerConfig{"127.0.0.1", 0, 1, 64});
+  TcpServer tiny_server(*engine_, EventLoopConfig{"127.0.0.1", 0, 1, 64});
   ASSERT_TRUE(tiny_server.start().has_value());
   auto fd2 = net::connect_tcp("127.0.0.1", tiny_server.port());
   ASSERT_TRUE(fd2.has_value()) << fd2.error().message;
@@ -499,7 +499,7 @@ TEST_F(ServeWireTest, BackpressurePausesReadsInsteadOfBufferingUnbounded) {
   cfg.threads = 1;
   cfg.queue_capacity = 1 << 18;
   ServeEngine engine(cfg);
-  ServerConfig server_cfg;
+  EventLoopConfig server_cfg;
   server_cfg.write_high_watermark = 8 * 1024;
   server_cfg.write_low_watermark = 1024;
   TcpServer server(engine, server_cfg);
@@ -575,7 +575,6 @@ TEST_F(ServeWireTest, NetStatsCountFramesAndBytes) {
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
   EXPECT_GE(stats.connections_accepted, 1u);
-  EXPECT_EQ(server_->connections_accepted(), stats.connections_accepted);
 }
 
 TEST(EventLoop, CrossThreadDrainRegression) {

@@ -350,6 +350,40 @@ TEST(Router, StatsOpIsAnsweredLocallyWithTierCounters) {
   EXPECT_EQ(router.stats().answered_local, 1u);
 }
 
+TEST(Router, LocalStatsReplyIsPinnedByteForByte) {
+  // The router's whole locally answered `stats` reply after a fixed
+  // sequence over two in-process replicas (hash placement, two pooled
+  // connections each): two keyless pings and a parse error round-robin,
+  // one fit is placed by its key. The stats op counts itself in
+  // `received` before it renders and in `answered_local` after.
+  ReplicaStack replicas[2];
+  RouterConfig cfg;
+  for (ReplicaStack& r : replicas) {
+    ASSERT_TRUE(r.server->start().has_value());
+    cfg.replicas.push_back(ReplicaEndpoint{"127.0.0.1", r.server->port()});
+  }
+  Router router(cfg);
+  ASSERT_TRUE(router.start().has_value());
+
+  Client client(Proto::kJson);
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port()).has_value());
+  for (const std::string& req :
+       {std::string("{\"op\":\"ping\"}"), fit_request(1),
+        std::string("this is not json"), std::string("{\"op\":\"ping\"}")}) {
+    ASSERT_TRUE(client.call(req).has_value());
+  }
+  auto stats = client.call("{\"op\":\"stats\",\"id\":\"s1\"}");
+  ASSERT_TRUE(stats.has_value()) << stats.error().message;
+  EXPECT_EQ(*stats,
+            "{\"id\":\"s1\",\"op\":\"stats\",\"ok\":true,\"result\":{"
+            "\"router\":true,\"placement\":\"hash\",\"replicas\":2,"
+            "\"connections_per_replica\":2,\"received\":5,"
+            "\"routed_keyed\":1,\"routed_keyless\":3,\"answered_local\":0,"
+            "\"rejected_draining\":0,\"upstream_batches\":4,"
+            "\"upstream_errors\":0,\"reconnects\":3,\"per_replica\":[3,1]}}");
+  router.shutdown();
+}
+
 TEST(Router, DeadReplicaAnswersUpstreamUnavailableWithoutHanging) {
   auto replica = std::make_unique<ReplicaStack>();
   ASSERT_TRUE(replica->server->start().has_value());
@@ -412,7 +446,7 @@ TEST(Router, ReplicaRestartTriggersReconnect) {
   ServeConfig engine_cfg;
   engine_cfg.threads = 1;
   ServeEngine engine2(engine_cfg);
-  TcpServer second(engine2, ServerConfig{"127.0.0.1", port});
+  TcpServer second(engine2, EventLoopConfig{"127.0.0.1", port});
   ASSERT_TRUE(second.start().has_value());
   auto back = client.call("{\"op\":\"ping\"}");
   ASSERT_TRUE(back.has_value()) << back.error().message;

@@ -167,17 +167,5 @@ TEST(PhaseBreakdown, QuantizationRoundsToPrecision) {
   EXPECT_DOUBLE_EQ(p.quantized(0.0).merge, 0.4);
 }
 
-TEST(Trace, RecordsAndTotals) {
-  Trace t;
-  t.record("map", 1.5);
-  t.record("map", 2.5);
-  t.record("merge", 1.0);
-  EXPECT_DOUBLE_EQ(t.total("map"), 4.0);
-  EXPECT_EQ(t.count("map"), 2u);
-  EXPECT_DOUBLE_EQ(t.total("missing"), 0.0);
-  EXPECT_EQ(t.count("missing"), 0u);
-  EXPECT_EQ(t.phases(), (std::vector<std::string>{"map", "merge"}));
-}
-
 }  // namespace
 }  // namespace ipso::sim

@@ -67,33 +67,6 @@ TEST(SyncMutexLock, DestructorSkipsReleaseAfterEarlyUnlock) {
   mu.unlock();
 }
 
-TEST(SyncSharedMutex, ManyReadersExcludeAWriter) {
-  SharedMutex mu;
-  mu.lock_shared();
-  EXPECT_TRUE(mu.try_lock_shared()) << "readers share";
-  EXPECT_FALSE(mu.try_lock()) << "writer excluded while read-held";
-  mu.unlock_shared();
-  mu.unlock_shared();
-  EXPECT_TRUE(mu.try_lock());
-  EXPECT_FALSE(mu.try_lock_shared()) << "readers excluded while write-held";
-  mu.unlock();
-}
-
-TEST(SyncSharedMutex, GuardTypesPairAcquisitionWithRelease) {
-  SharedMutex mu;
-  {
-    ReaderLock r1(mu);
-    ReaderLock r2(mu);
-    EXPECT_FALSE(mu.try_lock());
-  }
-  {
-    WriterLock w(mu);
-    EXPECT_FALSE(mu.try_lock_shared());
-  }
-  EXPECT_TRUE(mu.try_lock());
-  mu.unlock();
-}
-
 TEST(SyncCondVar, PredicateWaitSeesNotifiedState) {
   Mutex mu;
   CondVar cv;

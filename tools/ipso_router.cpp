@@ -21,19 +21,17 @@
 #include "serve/router.h"
 #include "trace/cli_opts.h"
 
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-
-void on_signal(int) { g_stop = 1; }
+constexpr char kProgram[] = "ipso_router";
 
 const char kUsage[] =
     "ipso_router: routing front end for a tier of ipso_serve replicas\n"
@@ -51,17 +49,6 @@ const char kUsage[] =
     "  --trace-out FILE  write a Chrome trace of the run on exit\n"
     "  --help, -h        this text\n"
     "  --version         build-info string\n";
-
-/// Unwraps a strict flag parse (trace/cli_opts.h); a named error is fatal.
-template <typename T>
-T flag_or_die(const ipso::Expected<T, ipso::trace::FlagError>& parsed) {
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "ipso_router: %s\n",
-                 parsed.error().to_string().c_str());
-    std::exit(1);
-  }
-  return *parsed;
-}
 
 /// "h1:p1,h2:p2,..." -> endpoints; returns false on any malformed element.
 bool parse_replicas(const std::string& list,
@@ -91,6 +78,16 @@ bool parse_replicas(const std::string& list,
 
 int main(int argc, char** argv) {
   using namespace ipso;
+  using trace::flag_or_die;
+
+  // SIGTERM/SIGINT are taken by sigwait() once the router is up. Blocking
+  // them here, before any thread starts, gives every thread the same mask,
+  // so the signal stays pending for sigwait() instead of reaching a worker.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -107,21 +104,26 @@ int main(int argc, char** argv) {
   obs::TraceSession trace_session(trace::trace_out_from_args(argc, argv));
 
   serve::RouterConfig cfg;
-  cfg.host = flag_or_die(
+  cfg.front.host = flag_or_die(
+      kProgram,
       trace::string_flag_from_args(argc, argv, "--host", "127.0.0.1"));
-  cfg.port = static_cast<std::uint16_t>(flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535)));
-  cfg.shards = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
+  cfg.front.port = static_cast<std::uint16_t>(flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--port", 0, 0,
+                                           65535)));
+  cfg.front.shards = flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
   cfg.placement = flag_or_die(
+      kProgram,
       trace::string_flag_from_args(argc, argv, "--placement", "hash"));
-  cfg.connections_per_replica = flag_or_die(trace::size_flag_from_args(
-      argc, argv, "--conns-per-replica", 2, 1, 256));
-  cfg.max_upstream_batch = flag_or_die(trace::size_flag_from_args(
-      argc, argv, "--upstream-batch", 64, 1, 65536));
+  cfg.connections_per_replica = flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--conns-per-replica",
+                                           2, 1, 256));
+  cfg.max_upstream_batch = flag_or_die(
+      kProgram, trace::size_flag_from_args(argc, argv, "--upstream-batch", 64,
+                                           1, 65536));
 
   const std::string replicas = flag_or_die(
-      trace::string_flag_from_args(argc, argv, "--replicas", ""));
+      kProgram, trace::string_flag_from_args(argc, argv, "--replicas", ""));
   if (replicas.empty() || !parse_replicas(replicas, &cfg.replicas)) {
     std::fprintf(stderr,
                  "ipso_router: --replicas HOST:PORT[,HOST:PORT...] is "
@@ -135,19 +137,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-
   std::printf("ipso_router: listening on %s:%u (replicas=%zu placement=%s "
               "conns-per-replica=%zu)\n",
-              cfg.host.c_str(), static_cast<unsigned>(router.port()),
+              cfg.front.host.c_str(), static_cast<unsigned>(router.port()),
               cfg.replicas.size(), router.placement_name(),
               cfg.connections_per_replica);
   std::fflush(stdout);
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  int stop_signal = 0;
+  sigwait(&stop_signals, &stop_signal);
 
   std::printf("ipso_router: draining\n");
   std::fflush(stdout);

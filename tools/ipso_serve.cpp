@@ -25,18 +25,15 @@
 #include "serve/server.h"
 #include "trace/cli_opts.h"
 
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-
-void on_signal(int) { g_stop = 1; }
+constexpr char kProgram[] = "ipso_serve";
 
 const char kUsage[] =
     "ipso_serve: IPSO model-serving daemon (newline-delimited JSON over "
@@ -59,21 +56,20 @@ const char kUsage[] =
     "  --help, -h        this text\n"
     "  --version         build-info string\n";
 
-/// Unwraps a strict flag parse (trace/cli_opts.h); a named error is fatal.
-template <typename T>
-T flag_or_die(const ipso::Expected<T, ipso::trace::FlagError>& parsed) {
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "ipso_serve: %s\n",
-                 parsed.error().to_string().c_str());
-    std::exit(1);
-  }
-  return *parsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ipso;
+  using trace::flag_or_die;
+
+  // SIGTERM/SIGINT are taken by sigwait() once the daemon is up. Blocking
+  // them here, before any thread starts, gives every thread the same mask,
+  // so the signal stays pending for sigwait() instead of reaching a worker.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -91,23 +87,27 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig engine_cfg;
   engine_cfg.threads = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--threads", 0, 0, 1024));
+      kProgram, trace::size_flag_from_args(argc, argv, "--threads", 0, 0,
+                                           1024));
   engine_cfg.queue_capacity = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--queue-cap", 256, 1));
+      kProgram, trace::size_flag_from_args(argc, argv, "--queue-cap", 256, 1));
   engine_cfg.cache_capacity = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--cache-cap", 128, 1));
+      kProgram, trace::size_flag_from_args(argc, argv, "--cache-cap", 128, 1));
   engine_cfg.store_dir = flag_or_die(
-      trace::string_flag_from_args(argc, argv, "--store-dir", ""));
-  engine_cfg.default_deadline_ms = flag_or_die(trace::double_flag_from_args(
-      argc, argv, "--deadline-ms", 0.0, 0.0, 1e9));
+      kProgram, trace::string_flag_from_args(argc, argv, "--store-dir", ""));
+  engine_cfg.default_deadline_ms = flag_or_die(
+      kProgram, trace::double_flag_from_args(argc, argv, "--deadline-ms", 0.0,
+                                             0.0, 1e9));
 
-  serve::ServerConfig server_cfg;
+  serve::EventLoopConfig server_cfg;
   server_cfg.host = flag_or_die(
+      kProgram,
       trace::string_flag_from_args(argc, argv, "--host", "127.0.0.1"));
   server_cfg.port = static_cast<std::uint16_t>(flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--port", 0, 0, 65535)));
+      kProgram, trace::size_flag_from_args(argc, argv, "--port", 0, 0,
+                                           65535)));
   server_cfg.shards = flag_or_die(
-      trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
+      kProgram, trace::size_flag_from_args(argc, argv, "--shards", 1, 1, 64));
 
   serve::ServeEngine engine(engine_cfg);
   if (!engine.store_status()) {
@@ -121,9 +121,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ipso_serve: %s\n", started.error().message.c_str());
     return 1;
   }
-
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
 
   const store::TieredStore::Stats boot = engine.store_stats();
   std::printf("ipso_serve: listening on %s:%u (threads=%zu queue-cap=%zu "
@@ -141,9 +138,8 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  int stop_signal = 0;
+  sigwait(&stop_signals, &stop_signal);
 
   std::printf("ipso_serve: draining\n");
   std::fflush(stdout);

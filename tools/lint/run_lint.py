@@ -54,10 +54,10 @@ examples may use the banned constructs as assertions):
                              rules this one covers tests and benches too —
                              an unannotated mutex anywhere is invisible to
                              the analysis.
-  guarded-by-audit           every ipso::sync::Mutex / SharedMutex member
-                             in src/ must guard at least one field
-                             (IPSO_GUARDED_BY / IPSO_PT_GUARDED_BY naming
-                             it in the same file) or carry an explicit
+  guarded-by-audit           every ipso::sync::Mutex member in src/ must
+                             guard at least one field (IPSO_GUARDED_BY /
+                             IPSO_PT_GUARDED_BY naming it in the same
+                             file) or carry an explicit
                              NOLINT(guarded-by-audit): reason on its
                              declaration line. A mutex that guards nothing
                              is either dead weight or undocumented
@@ -170,7 +170,7 @@ _NOLINT_OK = re.compile(r"NOLINT(NEXTLINE)?\([a-zA-Z0-9.,_-]+\)\s*:\s*\S")
 _NOLINT_ANY = re.compile(r"NOLINT\w*")
 
 
-# Guarded-by audit: for every sync::Mutex/SharedMutex *member* declaration,
+# Guarded-by audit: for every sync::Mutex *member* declaration,
 # the same file must annotate at least one field IPSO_GUARDED_BY /
 # IPSO_PT_GUARDED_BY with exactly that mutex name, or the declaration line
 # must carry NOLINT(guarded-by-audit): reason (the nolint-audit rule then
@@ -276,7 +276,7 @@ RULES: list[Rule] = [
     ),
     GuardedByAuditRule(
         name="guarded-by-audit",
-        pattern=re.compile(r"(?:ipso::)?sync::(?:Shared)?Mutex\s+(\w+)"),
+        pattern=re.compile(r"(?:ipso::)?sync::Mutex\s+(\w+)"),
         include=["src/**/*.cpp", "src/**/*.h"],
         exclude=["src/core/sync.h"],
         why="a mutex member must guard at least one IPSO_GUARDED_BY field "
