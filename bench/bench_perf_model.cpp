@@ -66,16 +66,27 @@ void BM_PowerFit(benchmark::State& state) {
 }
 BENCHMARK(BM_PowerFit);
 
+// Fig. 5's IN(n) shape (slope 0.15, then 0.25 after a jump at 15/64 of the
+// range) at trace lengths from the paper's sweeps to the serving traces.
 void BM_SegmentedFit(benchmark::State& state) {
+  const int points = static_cast<int>(state.range(0));
+  const int knee = 15 * points / 64;
   stats::Series s("IN");
-  for (int n = 1; n <= 64; ++n) {
-    s.add(n, n <= 15 ? 0.15 * n + 0.85 : 0.25 * n + 0.85);
+  for (int n = 1; n <= points; ++n) {
+    s.add(n, n <= knee ? 0.15 * n + 0.85 : 0.25 * n + 0.85);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(stats::fit_segmented(s));
   }
+  state.SetComplexityN(points);
 }
-BENCHMARK(BM_SegmentedFit);
+BENCHMARK(BM_SegmentedFit)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(2048)
+    ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond)
+    ->Complexity();
 
 void BM_NelderMeadHyperbolic(benchmark::State& state) {
   stats::Series s("tp");

@@ -3,14 +3,17 @@
 ///
 ///   cold        every request is a distinct fit (cache can only miss);
 ///   hot         the same requests again (cache can only hit);
-///   saturation  a burst far beyond a small admission queue, proving the
-///               engine sheds load with `overloaded` instead of queueing
-///               without bound.
+///   saturation  a burst of 64 model-zoo compares, each cheap to parse and
+///               about a millisecond to fit, far beyond a small admission
+///               queue, proving the engine sheds load with `overloaded`
+///               instead of queueing without bound.
 ///
-/// Reports throughput and p50/p95/p99 latency per phase, then enforces the
-/// serving-layer contracts and exits 1 on violation:
+/// Reports throughput and p50/p95/p99 latency per phase (and the cold/hot
+/// p50 ratio, as information), then enforces the serving-layer contracts
+/// and exits 1 on violation:
 ///
-///   C1  hot-phase (cached) fits are >= 10x faster than cold at the median;
+///   C1  the hot phase is served from the cache: it performs zero fits,
+///       and the cache hit count rises by exactly its request count;
 ///   C2  hot responses are byte-identical to their cold counterparts;
 ///   C3  saturation produces `overloaded` rejections and the peak queue
 ///       depth never exceeds the configured capacity;
@@ -109,8 +112,8 @@ using Clock = std::chrono::steady_clock;
 /// distinct cache keys and equal seeds are byte-identical request lines.
 /// `points` observations per factor series model a production trace (one
 /// point per completed run); the IN series has a changepoint at n/2, so the
-/// fit pays for the O(points^2) segmented changepoint search the cache is
-/// there to amortize.
+/// fit runs the segmented changepoint search (O(points)) as well as the
+/// factor fits.
 std::string fit_request(int seed, int points) {
   const double t1 = 100.0 + seed;
   const double knee = 1.0 + points / 2.0;
@@ -228,6 +231,27 @@ void print_mutex_profile() {
                 100.0 * static_cast<double>(a.contended) /
                     static_cast<double>(a.acquisitions));
   }
+}
+
+/// A `compare` request over an inline nine-point speedup curve, distinct
+/// per `seed` (Gunther's USL with seed-dependent sigma and kappa). It
+/// parses in microseconds and costs the model zoo about a millisecond, so
+/// a burst of them outruns the workers and fills the admission queue.
+std::string compare_request(int seed) {
+  const double sigma = 0.01 + 0.002 * (seed % 50);
+  const double kappa = 0.0005 + 0.00005 * seed;
+  std::string out =
+      "{\"op\":\"compare\",\"workload\":\"fixed-size\",\"observations\":[";
+  bool first = true;
+  for (const double n : {1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0}) {
+    if (!first) out += ",";
+    first = false;
+    out.append("[").append(ipso::trace::json_double(n)).append(",");
+    out.append(ipso::trace::json_double(
+        n / (1.0 + sigma * (n - 1.0) + kappa * n * (n - 1.0))));
+    out.append("]");
+  }
+  return out + "]}";
 }
 
 int flag_int(int argc, char** argv, const char* flag, int fallback) {
@@ -983,7 +1007,7 @@ int main(int argc, char** argv) {
   if (trace::handle_info_flags(
           argc, argv,
           "bench_serve_load: closed-loop load generator for ipso::serve\n"
-          "(cold/hot/saturation phases; enforces the cache-speedup,\n"
+          "(cold/hot/saturation phases; enforces the zero-fit cache hit,\n"
           "byte-identity, and bounded-backpressure contracts; plus a\n"
           "socket sweep of connections x batch x protocol over the epoll\n"
           "front end). --router switches to the sharded-tier sweep:\n"
@@ -1009,10 +1033,8 @@ int main(int argc, char** argv) {
   if (has_flag(argc, argv, "--router")) {
     return run_router_bench(argc, argv);
   }
-  // Default shape: few distinct fits, each over a long observation trace.
-  // The changepoint search is O(points^2) while request parsing is
-  // O(points), so large traces are exactly the workload the fit cache is
-  // built to amortize.
+  // Default shape: few distinct fits, each over a long observation trace,
+  // so every cold request parses and fits thousands of points.
   const int requests = std::max(8, flag_int(argc, argv, "--requests", 20));
   const int points = std::max(8, flag_int(argc, argv, "--points", 4096));
   const std::size_t threads =
@@ -1037,18 +1059,31 @@ int main(int argc, char** argv) {
   {
     serve::ServeEngine engine(cfg);
     const PhaseResult cold = run_phase(engine, workload);
+    const std::size_t fits_before_hot = engine.fits_performed();
+    const std::size_t hits_before_hot = engine.stats().cache_hits;
     const PhaseResult hot = run_phase(engine, workload);
+    const std::size_t hot_fits = engine.fits_performed() - fits_before_hot;
+    const std::size_t hot_hits = engine.stats().cache_hits - hits_before_hot;
     print_phase("cold", cold);
     print_phase("hot", hot);
 
+    // The latency ratio is information only: it is the parse-bound hot
+    // path against a cold path whose fit is now about as cheap, and it
+    // moves with either. What the cache promises is that a hit does no fit.
     const double cold_p50 = percentile(cold.latencies_ms, 0.50);
     const double hot_p50 = percentile(hot.latencies_ms, 0.50);
-    const double speedup = hot_p50 > 0 ? cold_p50 / hot_p50 : 1e9;
-    std::printf("\ncache speedup (cold p50 / hot p50): %.1fx\n", speedup);
-    if (speedup < 10.0) {
-      std::printf("CONTRACT VIOLATION (C1): cached fits only %.1fx faster "
-                  "than cold (need >= 10x)\n", speedup);
+    std::printf("\ncold p50 / hot p50: %.1fx\n",
+                hot_p50 > 0 ? cold_p50 / hot_p50 : 1e9);
+    if (hot_fits != 0 || hot_hits != workload.size()) {
+      std::printf("CONTRACT VIOLATION (C1): the hot phase must be served "
+                  "from the cache: %zu fits performed (need 0), %zu cache "
+                  "hits (need %zu)\n",
+                  hot_fits, hot_hits, workload.size());
       ok = false;
+    } else {
+      std::printf("C1: hot phase performed 0 fits; %zu/%zu requests were "
+                  "cache hits\n",
+                  hot_hits, workload.size());
     }
 
     std::size_t mismatches = 0;
@@ -1085,13 +1120,21 @@ int main(int argc, char** argv) {
   sat_cfg.queue_capacity = 8;
   sat_cfg.cache_capacity = 4;
   {
+    // Distinct compares, not the fit lines: parsing a long fit line on the
+    // submitting thread takes longer than fitting it on a worker, so a
+    // burst of them never fills the queue.
+    constexpr int kBurst = 64;
+    std::vector<std::string> burst;
+    burst.reserve(kBurst);
+    for (int i = 0; i < kBurst; ++i) burst.push_back(compare_request(i));
+
     serve::ServeEngine engine(sat_cfg);
     // Open-loop burst: fire every request without waiting, far beyond the
     // queue capacity, then collect.
     std::vector<std::future<std::string>> inflight;
-    inflight.reserve(workload.size());
+    inflight.reserve(burst.size());
     const Clock::time_point start = Clock::now();
-    for (const std::string& req : workload) {
+    for (const std::string& req : burst) {
       inflight.push_back(engine.submit(req));
     }
     std::size_t answered = 0, overloaded = 0;

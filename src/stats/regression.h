@@ -67,9 +67,20 @@ struct SegmentedFit {
   bool has_breakpoint(double min_slope_ratio = 1.2) const noexcept;
 };
 
-/// Exhaustive changepoint search: tries every interior split with at least
-/// `min_seg` points per side and returns the split minimizing total SSE.
-/// Requires at least 2·min_seg points.
+/// Changepoint search over every interior split with at least `min_seg`
+/// points per side, returning the split minimizing total SSE. Requires at
+/// least 2·min_seg points (std::invalid_argument otherwise, and when no
+/// split is valid).
+///
+/// O(n) time and memory: each split is scored in O(1) from running centered
+/// moments of its prefix and suffix (SSE = Cyy - Cxy²/Cxx per side), and
+/// only the winner is refitted with fit_linear, so `left`, `right`, `knot`
+/// and `sse` are exactly what fitting that split directly gives.
+/// Ties: the first split (smallest index) with the strictly smallest score
+/// wins; where splits' SSEs differ only by rounding (an exact line, a
+/// constant y), that rounding picks the winner. Valid splits: a split is
+/// skipped exactly when fit_linear would throw on one of its sides (all x
+/// equal, unless their computed mean is inexact).
 SegmentedFit fit_segmented(const Series& s, std::size_t min_seg = 3);
 
 /// Residual sum of squares of a fitted callable against a series.

@@ -43,6 +43,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -206,6 +207,81 @@ bool roundtrip_and_print(ipso::serve::Client& client,
   return response->find("\"ok\":true") != std::string::npos;
 }
 
+/// Builds the request line for a non-raw `op` from the flags. Every flag is
+/// parsed here, before any connection is made, so a malformed value is
+/// reported as such whether or not a server is listening. A bad flag value
+/// exits (flag_or_die); a bad CSV or --ns entry prints and returns nullopt.
+std::optional<std::string> build_request(const std::string& op, int argc,
+                                         char** argv) {
+  std::string req = "{\"op\":\"" + op + "\"";
+  if (const std::string id = string_flag(argc, argv, "--id"); !id.empty())
+    req += ",\"id\":\"" + ipso::trace::json_escape(id) + "\"";
+  if (const std::string w = string_flag(argc, argv, "--workload");
+      !w.empty()) {
+    req += ",\"workload\":\"" + ipso::trace::json_escape(w) + "\"";
+  }
+  if (const std::string key = string_flag(argc, argv, "--key");
+      !key.empty()) {
+    req += ",\"key\":\"" + ipso::trace::json_escape(key) + "\"";
+  }
+  if (const double eta = double_flag(argc, argv, "--eta", 1e-12, 1.0);
+      !std::isnan(eta)) {
+    req += ",\"eta\":" + ipso::trace::json_double(eta);
+  }
+  if (const double n = double_flag(argc, argv, "--n", 1.0, 1e12);
+      !std::isnan(n)) {
+    req += ",\"n\":" + ipso::trace::json_double(n);
+  }
+  if (const double v = double_flag(argc, argv, "--value", 1e-12, 1e12);
+      !std::isnan(v)) {
+    req += ",\"value\":" + ipso::trace::json_double(v);
+  }
+  if (const std::string factors = string_flag(argc, argv, "--factors");
+      !factors.empty()) {
+    if (!append_factor_fields(factors, req)) return std::nullopt;
+  }
+  if (const std::string speedup = string_flag(argc, argv, "--speedup");
+      !speedup.empty()) {
+    // The same CSV feeds diagnose (as the curve to diagnose) and compare
+    // (as the inline observation set the zoo scores).
+    const char* field = op == "compare" ? "observations" : "speedup";
+    if (!append_speedup_field(speedup, field, req)) return std::nullopt;
+  }
+  if (const std::string ns = string_flag(argc, argv, "--ns"); !ns.empty()) {
+    req += ",\"ns\":[";
+    std::istringstream is(ns);
+    std::string tok;
+    bool first = true;
+    while (std::getline(is, tok, ',')) {
+      if (tok.empty()) continue;
+      double grid_n = 0.0;
+      std::istringstream ts(tok);
+      if (!(ts >> grid_n) || !(ts >> std::ws).eof() || !(grid_n >= 1.0)) {
+        std::fprintf(stderr,
+                     "ipso_client: --ns: expected a node count >= 1, got "
+                     "'%s'\n",
+                     tok.c_str());
+        return std::nullopt;
+      }
+      if (!first) req += ",";
+      first = false;
+      req += ipso::trace::json_double(grid_n);
+    }
+    req += "]";
+  }
+  if (const double knee = double_flag(argc, argv, "--knee-frac", 1e-12, 1.0);
+      !std::isnan(knee)) {
+    req += ",\"knee_frac\":" + ipso::trace::json_double(knee);
+  }
+  if (const double dl =
+          double_flag(argc, argv, "--deadline-ms", 0.0, 1e9);
+      !std::isnan(dl)) {
+    req += ",\"deadline_ms\":" + ipso::trace::json_double(dl);
+  }
+  req += "}";
+  return req;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -253,6 +329,12 @@ int main(int argc, char** argv) {
       kProgram,
       trace::size_flag_from_args(argc, argv, "--pipeline", 1, 1, 65536));
 
+  std::optional<std::string> request;
+  if (op != "raw") {
+    request = build_request(op, argc, argv);
+    if (!request) return 1;
+  }
+
   serve::Client client(proto);
   if (auto connected =
           client.connect(host, static_cast<std::uint16_t>(port));
@@ -297,72 +379,5 @@ int main(int argc, char** argv) {
     return all_ok ? 0 : 1;
   }
 
-  std::string req = "{\"op\":\"" + op + "\"";
-  if (const std::string id = string_flag(argc, argv, "--id"); !id.empty())
-    req += ",\"id\":\"" + trace::json_escape(id) + "\"";
-  if (const std::string w = string_flag(argc, argv, "--workload");
-      !w.empty()) {
-    req += ",\"workload\":\"" + trace::json_escape(w) + "\"";
-  }
-  if (const std::string key = string_flag(argc, argv, "--key");
-      !key.empty()) {
-    req += ",\"key\":\"" + trace::json_escape(key) + "\"";
-  }
-  if (const double eta = double_flag(argc, argv, "--eta", 1e-12, 1.0);
-      !std::isnan(eta)) {
-    req += ",\"eta\":" + trace::json_double(eta);
-  }
-  if (const double n = double_flag(argc, argv, "--n", 1.0, 1e12);
-      !std::isnan(n)) {
-    req += ",\"n\":" + trace::json_double(n);
-  }
-  if (const double v = double_flag(argc, argv, "--value", 1e-12, 1e12);
-      !std::isnan(v)) {
-    req += ",\"value\":" + trace::json_double(v);
-  }
-  if (const std::string factors = string_flag(argc, argv, "--factors");
-      !factors.empty()) {
-    if (!append_factor_fields(factors, req)) return 1;
-  }
-  if (const std::string speedup = string_flag(argc, argv, "--speedup");
-      !speedup.empty()) {
-    // The same CSV feeds diagnose (as the curve to diagnose) and compare
-    // (as the inline observation set the zoo scores).
-    const char* field = op == "compare" ? "observations" : "speedup";
-    if (!append_speedup_field(speedup, field, req)) return 1;
-  }
-  if (const std::string ns = string_flag(argc, argv, "--ns"); !ns.empty()) {
-    req += ",\"ns\":[";
-    std::istringstream is(ns);
-    std::string tok;
-    bool first = true;
-    while (std::getline(is, tok, ',')) {
-      if (tok.empty()) continue;
-      double grid_n = 0.0;
-      std::istringstream ts(tok);
-      if (!(ts >> grid_n) || !(ts >> std::ws).eof() || !(grid_n >= 1.0)) {
-        std::fprintf(stderr,
-                     "ipso_client: --ns: expected a node count >= 1, got "
-                     "'%s'\n",
-                     tok.c_str());
-        return 1;
-      }
-      if (!first) req += ",";
-      first = false;
-      req += trace::json_double(grid_n);
-    }
-    req += "]";
-  }
-  if (const double knee = double_flag(argc, argv, "--knee-frac", 1e-12, 1.0);
-      !std::isnan(knee)) {
-    req += ",\"knee_frac\":" + trace::json_double(knee);
-  }
-  if (const double dl =
-          double_flag(argc, argv, "--deadline-ms", 0.0, 1e9);
-      !std::isnan(dl)) {
-    req += ",\"deadline_ms\":" + trace::json_double(dl);
-  }
-  req += "}";
-
-  return roundtrip_and_print(client, req) ? 0 : 1;
+  return roundtrip_and_print(client, *request) ? 0 : 1;
 }
