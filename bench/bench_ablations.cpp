@@ -16,9 +16,9 @@
 #include "trace/cli_opts.h"
 #include "trace/runner.h"
 #include "trace/report.h"
-#include "workloads/bayes.h"
 #include "workloads/qmc_pi.h"
 #include "workloads/sort.h"
+#include "workloads/spark_apps.h"
 #include "workloads/terasort.h"
 
 #include <iostream>

@@ -10,13 +10,9 @@
 #include "trace/cli_opts.h"
 #include "trace/runner.h"
 #include "trace/report.h"
-#include "workloads/bayes.h"
-#include "workloads/collab_filter.h"
-#include "workloads/nweight.h"
 #include "workloads/qmc_pi.h"
-#include "workloads/random_forest.h"
 #include "workloads/sort.h"
-#include "workloads/svm.h"
+#include "workloads/spark_apps.h"
 #include "workloads/terasort.h"
 #include "workloads/wordcount.h"
 

@@ -15,7 +15,7 @@
 #include "trace/runner.h"
 #include "trace/reference_data.h"
 #include "trace/report.h"
-#include "workloads/collab_filter.h"
+#include "workloads/spark_apps.h"
 
 #include <iostream>
 

@@ -11,10 +11,7 @@
 #include "trace/experiment.h"
 #include "trace/runner.h"
 #include "trace/report.h"
-#include "workloads/bayes.h"
-#include "workloads/nweight.h"
-#include "workloads/random_forest.h"
-#include "workloads/svm.h"
+#include "workloads/spark_apps.h"
 
 #include <iostream>
 

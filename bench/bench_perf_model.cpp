@@ -10,6 +10,7 @@
 #include "core/predict.h"
 #include "stats/nonlinear.h"
 #include "trace/experiment.h"
+#include "trace/runner.h"
 #include "workloads/sort.h"
 
 #include <benchmark/benchmark.h>
@@ -107,8 +108,9 @@ void BM_FullMrSweep(benchmark::State& state) {
   sweep.type = WorkloadType::kFixedTime;
   sweep.ns = {1, 2, 4, 8, 16};
   sweep.repetitions = 1;
+  trace::ExperimentRunner runner;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trace::run_mr_sweep(spec, base, sweep));
+    benchmark::DoNotOptimize(runner.run_mr_sweep(spec, base, sweep));
   }
 }
 BENCHMARK(BM_FullMrSweep);
@@ -120,7 +122,8 @@ void BM_FitAndPredictPipeline(benchmark::State& state) {
   sweep.type = WorkloadType::kFixedTime;
   sweep.ns = {1, 2, 4, 8, 16};
   sweep.repetitions = 1;
-  const auto r = trace::run_mr_sweep(spec, base, sweep);
+  trace::ExperimentRunner runner;
+  const auto r = runner.run_mr_sweep(spec, base, sweep);
   for (auto _ : state) {
     const auto fits = fit_factors(WorkloadType::kFixedTime, r.factors).value();
     const auto predictor = SpeedupPredictor::from_fits(fits);

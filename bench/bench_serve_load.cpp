@@ -27,9 +27,10 @@
 ///
 ///   C5  the event loop sustains the largest configured connection count
 ///       (default 1024) with every response correct and in order;
-///   C6  the binary batched protocol beats JSON lines on aggregate req/s
-///       across the batch >= 16 cells (the batching win is real, not
-///       serialization trivia).
+///   C6  the binary batched protocol beats JSON lines on the sum of the
+///       per-cell req/s across the batch >= 16 cells (the batching win is
+///       real, not serialization trivia). The sum compares the two
+///       protocols; it is not a throughput.
 ///
 /// `--router` switches to the sharded-tier sweep instead: replica count x
 /// placement policy x Zipf-skewed key popularity, every request flowing
@@ -254,34 +255,68 @@ std::string compare_request(int seed) {
   return out + "]}";
 }
 
-int flag_int(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == flag) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
+/// Every flag, parsed strictly before any phase runs: a malformed or
+/// out-of-range value makes the bench refuse to start (flag_or_die), never
+/// run with a default or clamped value.
+struct Options {
+  std::size_t requests = 20;
+  std::size_t points = 4096;
+  std::size_t threads = 0;
+  std::vector<std::size_t> conns;
+  std::vector<std::size_t> batch;
+  std::size_t net_requests = 16384;
+  bool no_net = false;
+  std::string store_dir;
+  bool no_store = false;
+  bool router = false;
+  std::size_t router_requests = 2400;
+  std::size_t router_points = 96;
+  std::size_t router_keys = 48;
+  std::vector<std::size_t> router_replicas;
+  std::size_t router_conns = 4;
+  std::size_t router_batch = 16;
+  double zipf = 1.2;
+};
 
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == flag) return true;
-  }
-  return false;
-}
-
-std::vector<std::size_t> flag_list(int argc, char** argv, const char* flag,
-                                   std::vector<std::size_t> fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) != flag) continue;
-    std::vector<std::size_t> out;
-    std::istringstream is(argv[i + 1]);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-      const long v = std::atol(tok.c_str());
-      if (v > 0) out.push_back(static_cast<std::size_t>(v));
-    }
-    if (!out.empty()) return out;
-  }
-  return fallback;
+Options parse_options(int argc, char** argv) {
+  using ipso::trace::flag_or_die;
+  constexpr char kProgram[] = "bench_serve_load";
+  // Sizes that become `int` request counts or series lengths stay far
+  // below INT_MAX.
+  constexpr std::size_t kMaxCount = 1u << 24;
+  auto size = [&](const char* flag, std::size_t fallback,
+                  std::size_t min_value, std::size_t max_value) {
+    return flag_or_die(kProgram,
+                       ipso::trace::size_flag_from_args(
+                           argc, argv, flag, fallback, min_value, max_value));
+  };
+  auto list = [&](const char* flag, std::vector<std::size_t> fallback) {
+    return flag_or_die(kProgram, ipso::trace::size_list_flag_from_args(
+                                     argc, argv, flag, std::move(fallback),
+                                     1, kMaxCount));
+  };
+  Options o;
+  o.requests = size("--requests", o.requests, 8, kMaxCount);
+  o.points = size("--points", o.points, 8, kMaxCount);
+  o.threads = size("--threads", o.threads, 0, 1024);
+  o.conns = list("--conns", {1, 16, 256, 1024});
+  o.batch = list("--batch", {1, 16, 64});
+  o.net_requests = size("--net-requests", o.net_requests, 1, kMaxCount);
+  o.no_net = ipso::trace::has_flag(argc, argv, "--no-net");
+  o.store_dir = flag_or_die(kProgram, ipso::trace::string_flag_from_args(
+                                          argc, argv, "--store-dir", ""));
+  o.no_store = ipso::trace::has_flag(argc, argv, "--no-store");
+  o.router = ipso::trace::has_flag(argc, argv, "--router");
+  o.router_requests =
+      size("--router-requests", o.router_requests, 64, kMaxCount);
+  o.router_points = size("--router-points", o.router_points, 8, kMaxCount);
+  o.router_keys = size("--router-keys", o.router_keys, 4, kMaxCount);
+  o.router_replicas = list("--router-replicas", {1, 2, 3});
+  o.router_conns = size("--router-conns", o.router_conns, 1, kMaxCount);
+  o.router_batch = size("--router-batch", o.router_batch, 1, kMaxCount);
+  o.zipf = flag_or_die(kProgram, ipso::trace::double_flag_from_args(
+                                     argc, argv, "--zipf", o.zipf, 0.0, 16.0));
+  return o;
 }
 
 /// Raises RLIMIT_NOFILE toward `want` fds; returns the resulting soft
@@ -405,13 +440,6 @@ NetCell run_net_cell(ipso::serve::Proto proto, std::size_t conns,
   cell.reqs_per_s =
       elapsed > 0 ? static_cast<double>(cell.requests) / elapsed : 0.0;
   return cell;
-}
-
-double flag_double(int argc, char** argv, const char* flag, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == flag) return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
 }
 
 // ---------------------------------------------------------------------------
@@ -729,21 +757,16 @@ bool run_zoo_contract() {
 }
 
 /// The --router mode: sweep, C7 byte-identity, C8 IPSO fit of the tier.
-int run_router_bench(int argc, char** argv) {
+int run_router_bench(const Options& opts) {
   using namespace ipso;
 
-  const std::size_t total = static_cast<std::size_t>(
-      std::max(64, flag_int(argc, argv, "--router-requests", 2400)));
-  const int points = std::max(8, flag_int(argc, argv, "--router-points", 96));
-  const std::size_t keys = static_cast<std::size_t>(
-      std::max(4, flag_int(argc, argv, "--router-keys", 48)));
-  const double skew = flag_double(argc, argv, "--zipf", 1.2);
-  const std::vector<std::size_t> replica_axis =
-      flag_list(argc, argv, "--router-replicas", {1, 2, 3});
-  const std::size_t conns = static_cast<std::size_t>(
-      std::max(1, flag_int(argc, argv, "--router-conns", 4)));
-  const std::size_t batch = static_cast<std::size_t>(
-      std::max(1, flag_int(argc, argv, "--router-batch", 16)));
+  const std::size_t total = opts.router_requests;
+  const int points = static_cast<int>(opts.router_points);
+  const std::size_t keys = opts.router_keys;
+  const double skew = opts.zipf;
+  const std::vector<std::size_t>& replica_axis = opts.router_replicas;
+  const std::size_t conns = opts.router_conns;
+  const std::size_t batch = opts.router_batch;
   const std::vector<std::string> placements = {"hash", "range", "affinity"};
 
   std::printf("# bench_serve_load --router: %zu requests over %zu keys "
@@ -864,18 +887,10 @@ int run_router_bench(int argc, char** argv) {
 /// in a persisted segment is skipped with a counter and re-fit, never a
 /// crash or a wrong answer). Returns false on contract violation.
 bool run_store_phase(const std::vector<std::string>& workload,
-                     std::size_t threads, int argc, char** argv) {
+                     std::size_t threads, std::string store_dir) {
   namespace fs = std::filesystem;
   using namespace ipso;
 
-  const auto dir_flag =
-      trace::string_flag_from_args(argc, argv, "--store-dir", "");
-  if (!dir_flag.has_value()) {
-    std::printf("CONTRACT VIOLATION (C9): %s\n",
-                dir_flag.error().to_string().c_str());
-    return false;
-  }
-  std::string store_dir = *dir_flag;
   bool own_dir = false;
   if (store_dir.empty()) {
     std::string tmpl =
@@ -1029,16 +1044,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const Options opts = parse_options(argc, argv);
   obs::TraceSession trace_session(trace::trace_out_from_args(argc, argv));
-  if (has_flag(argc, argv, "--router")) {
-    return run_router_bench(argc, argv);
-  }
+  if (opts.router) return run_router_bench(opts);
   // Default shape: few distinct fits, each over a long observation trace,
   // so every cold request parses and fits thousands of points.
-  const int requests = std::max(8, flag_int(argc, argv, "--requests", 20));
-  const int points = std::max(8, flag_int(argc, argv, "--points", 4096));
-  const std::size_t threads =
-      trace::runner_config_from_args(argc, argv).threads;
+  const int requests = static_cast<int>(opts.requests);
+  const int points = static_cast<int>(opts.points);
+  const std::size_t threads = opts.threads;
 
   std::printf("# bench_serve_load: %d distinct fits, %d observations per "
               "factor series, threads=%zu\n\n",
@@ -1106,8 +1119,8 @@ int main(int argc, char** argv) {
   }
 
   // --- warm restart: the persistent tier ------------------------------
-  if (!has_flag(argc, argv, "--no-store")) {
-    if (!run_store_phase(workload, threads, argc, argv)) ok = false;
+  if (!opts.no_store) {
+    if (!run_store_phase(workload, threads, opts.store_dir)) ok = false;
   }
 
   // --- model zoo: C11 shape-driven selection --------------------------
@@ -1168,13 +1181,10 @@ int main(int argc, char** argv) {
   }
 
   // --- socket sweep: connections x batch x protocol -------------------
-  if (!has_flag(argc, argv, "--no-net")) {
-    std::vector<std::size_t> conns_axis =
-        flag_list(argc, argv, "--conns", {1, 16, 256, 1024});
-    const std::vector<std::size_t> batch_axis =
-        flag_list(argc, argv, "--batch", {1, 16, 64});
-    const std::size_t net_requests = static_cast<std::size_t>(
-        std::max(1, flag_int(argc, argv, "--net-requests", 16384)));
+  if (!opts.no_net) {
+    std::vector<std::size_t> conns_axis = opts.conns;
+    const std::vector<std::size_t>& batch_axis = opts.batch;
+    const std::size_t net_requests = opts.net_requests;
 
     const std::size_t max_conns =
         *std::max_element(conns_axis.begin(), conns_axis.end());
@@ -1235,8 +1245,8 @@ int main(int argc, char** argv) {
                   "connections with every response correct\n", c5_conns);
     }
     if (binary_batched > 0.0 || json_batched > 0.0) {
-      std::printf("C6: aggregate req/s at batch >= 16: binary %.1f vs "
-                  "json %.1f (%.2fx)\n",
+      std::printf("C6: summed per-cell req/s at batch >= 16: binary %.1f "
+                  "vs json %.1f (%.2fx)\n",
                   binary_batched, json_batched,
                   json_batched > 0 ? binary_batched / json_batched : 0.0);
       if (binary_batched <= json_batched) {

@@ -15,7 +15,7 @@
 #include "trace/report.h"
 #include "trace/cli_opts.h"
 #include "trace/runner.h"
-#include "workloads/collab_filter.h"
+#include "workloads/spark_apps.h"
 
 #include <iostream>
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace ipso {
@@ -53,6 +54,16 @@ Expected<stats::SegmentedFit> detect_in_changepoint(const stats::Series& in,
     return seg;
   }
   const double single_sse = stats::sse(in, single);
+  // A single line that fits to within rounding leaves nothing to split. The
+  // sums of a least-squares fit over k points round each residual by up to
+  // ~k ulps of its y (measured: 0.13·k on flat series). A flat IN(n) with a
+  // non-integer level leaves just that, both SSEs are ~1e-27, and comparing
+  // them would find a "changepoint" in the rounding noise.
+  const double ulps =
+      static_cast<double>(in.size()) * std::numeric_limits<double>::epsilon();
+  double rounding_floor = 0.0;
+  for (const auto& p : in) rounding_floor += (ulps * p.y) * (ulps * p.y);
+  if (single_sse <= rounding_floor) return FitError::kNoChangepoint;
   if (seg.sse < 0.5 * single_sse) return seg;
   return FitError::kNoChangepoint;
 }
@@ -139,15 +150,27 @@ Expected<FactorFits> fit_factors(WorkloadType type,
     // a local before entering q_fit so no Expected is dereferenced — the
     // lint wall bans unchecked access paths in src/ even when a preceding
     // assignment makes them safe.
+    const stats::Series q_tail = tail_half(q_pos, 3);
     stats::PowerFit q_power;
     try {
-      q_power = stats::fit_power(tail_half(q_pos, 3));
+      q_power = stats::fit_power(q_tail);
     } catch (const std::invalid_argument&) {
       return FitError::kFitFailed;
     }
     out.q_fit = q_power;
     out.params.beta = q_power.coeff;
     out.params.gamma = q_power.exponent;
+
+    // The model's domain is gamma >= 0 (AsymptoticParams, classify): a
+    // falling q tail is overhead that does not grow with n. Clamp gamma to 0
+    // and refit beta as the tail level, as the delta clamp does for alpha;
+    // q_fit keeps the raw fit, so the falling exponent stays visible.
+    if (out.params.gamma < 0.0) {
+      out.params.gamma = 0.0;
+      double acc = 0.0;
+      for (const auto& p : q_tail) acc += p.y;
+      out.params.beta = acc / static_cast<double>(q_tail.size());
+    }
   } else {
     // Distinguish "Wo was never measured" from "measured and negligible" —
     // the paper's MapReduce cases are all the latter.

@@ -60,7 +60,9 @@ struct FactorFits {
 
 /// Fits every scaling factor and assembles AsymptoticParams. `type` selects
 /// the external-scaling regime; δ is forced to 0 for fixed-size workloads
-/// (paper Section IV). Series may be restricted to small n by the caller
+/// (paper Section IV). The params stay in the model's domain: δ is clamped
+/// into [0,1] (α refit as the ε tail level) and a negative γ to 0 (β refit
+/// as the q tail level), while `q_fit` keeps the raw power fit. Series may be restricted to small n by the caller
 /// (the paper fits on n <= 16, TeraSort on 16..64). Errors: kOutOfDomain
 /// (measured η outside [0,1]), kLengthMismatch (EX vs IN),
 /// kMisalignedSeries, kNonPositiveValue, kInsufficientData, kFitFailed (a
@@ -70,7 +72,8 @@ struct FactorFits {
 
 /// Detects a step-wise changepoint in IN(n) (Fig. 5: TeraSort's reducer
 /// memory overflow). Errors: kInsufficientData (< 2*min_seg points),
-/// kNoChangepoint (the two segments do not beat a single line).
+/// kNoChangepoint (the two segments do not beat a single line, or a single
+/// line already fits to within rounding).
 [[nodiscard]] Expected<stats::SegmentedFit> detect_in_changepoint(
     const stats::Series& in, std::size_t min_seg = 3);
 

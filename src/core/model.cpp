@@ -57,28 +57,4 @@ Eta eta_from_times(double tp1, double ts1) {
   return tp1 / total;  // out-of-domain (negative input) trips Eta's contract
 }
 
-stats::Series SpeedupCurve::as_series(std::string name) const {
-  stats::Series out(std::move(name));
-  for (std::size_t i = 0; i < ns.size(); ++i) out.add(ns[i], speedups[i]);
-  return out;
-}
-
-SpeedupCurve speedup_curve(const ScalingFactors& f, Eta eta,
-                           std::span<const double> ns) {
-  SpeedupCurve out;
-  out.ns.assign(ns.begin(), ns.end());
-  out.speedups.reserve(ns.size());
-  for (double n : ns) out.speedups.push_back(speedup_deterministic(f, eta, n));
-  return out;
-}
-
-SpeedupCurve speedup_curve(const AsymptoticParams& p,
-                           std::span<const double> ns) {
-  SpeedupCurve out;
-  out.ns.assign(ns.begin(), ns.end());
-  out.speedups.reserve(ns.size());
-  for (double n : ns) out.speedups.push_back(speedup_asymptotic(p, n));
-  return out;
-}
-
 }  // namespace ipso

@@ -3,11 +3,6 @@
 #include "core/domain.h"
 #include "core/scaling_factors.h"
 #include "core/workload.h"
-#include "stats/series.h"
-
-#include <span>
-#include <string>
-#include <vector>
 
 /// \file model.h
 /// The IPSO speedup model itself: the statistical form (Eq. 8), the
@@ -48,27 +43,5 @@ struct StatisticalInputs {
 /// Parallelizable fraction η from the n = 1 workload split (Eq. 9/11).
 /// Negative time components are a caller bug and trip the η-domain contract.
 [[nodiscard]] Eta eta_from_times(double tp1, double ts1);
-
-/// A model-evaluated speedup curve: the swept n values and the predicted
-/// speedups, kept together so call sites stop zipping parallel vectors.
-/// Returned by both speedup_curve overloads.
-struct SpeedupCurve {
-  std::vector<double> ns;        ///< scale-out degrees, as passed in
-  std::vector<double> speedups;  ///< S(n) in the same order
-
-  std::size_t size() const noexcept { return ns.size(); }
-  bool empty() const noexcept { return ns.empty(); }
-
-  /// (n, S(n)) as a named Series, ready for the fitters and printers.
-  stats::Series as_series(std::string name = "S(n)") const;
-};
-
-/// Convenience: evaluates the deterministic model over a range of n values.
-[[nodiscard]] SpeedupCurve speedup_curve(const ScalingFactors& f, Eta eta,
-                                         std::span<const double> ns);
-
-/// Convenience: evaluates the asymptotic model over a range of n values.
-[[nodiscard]] SpeedupCurve speedup_curve(const AsymptoticParams& p,
-                                         std::span<const double> ns);
 
 }  // namespace ipso

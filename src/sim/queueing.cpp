@@ -5,27 +5,6 @@
 
 namespace ipso::sim {
 
-double mm1_wait(double lambda, double mu) {
-  if (lambda < 0.0 || mu <= 0.0 || lambda >= mu) {
-    throw std::invalid_argument("mm1_wait: need 0 <= lambda < mu");
-  }
-  const double rho = lambda / mu;
-  return rho / (mu * (1.0 - rho));
-}
-
-double md1_wait(double lambda, double mu) {
-  // Pollaczek-Khinchine with zero service variance: half the M/M/1 wait.
-  return 0.5 * mm1_wait(lambda, mu);
-}
-
-double mm1_in_system(double lambda, double mu) {
-  if (lambda < 0.0 || mu <= 0.0 || lambda >= mu) {
-    throw std::invalid_argument("mm1_in_system: need 0 <= lambda < mu");
-  }
-  const double rho = lambda / mu;
-  return rho / (1.0 - rho);
-}
-
 SharedResourceContention::SharedResourceContention(double phi,
                                                    double capacity)
     : phi_(phi), capacity_(capacity) {

@@ -7,22 +7,10 @@
 /// queuing-network analysis of [9] (Che & Nguyen): "any resource contention
 /// among parallel tasks is guaranteed to induce an effective serial
 /// workload, resulting in lower speedup than that predicted by the existing
-/// laws". This module provides the standard single-server formulas and a
-/// shared-resource contention model that injects exactly that effect into
-/// the simulated cluster.
+/// laws". This module provides a shared-resource contention model that
+/// injects exactly that effect into the simulated cluster.
 
 namespace ipso::sim {
-
-/// Mean waiting time (time in queue, excluding service) of an M/M/1 queue
-/// with arrival rate `lambda` and service rate `mu` (requires lambda < mu).
-double mm1_wait(double lambda, double mu);
-
-/// Mean waiting time of an M/D/1 queue (deterministic service): half the
-/// M/M/1 wait by Pollaczek-Khinchine.
-double md1_wait(double lambda, double mu);
-
-/// Mean number in system for M/M/1: rho / (1 - rho).
-double mm1_in_system(double lambda, double mu);
 
 /// Contention on one shared resource (DFS namenode, shared disk array,
 /// memory bus...). Each of the n parallel tasks directs a fraction `phi`

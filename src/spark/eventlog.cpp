@@ -46,41 +46,30 @@ bool parse_size_field(const std::string& s, std::size_t* out) {
   return true;
 }
 
-/// Parses one StageCompleted line. Returns the field name that failed (and
-/// sets *bad_number) or an empty string on success; non-stage lines yield
-/// success with *is_stage = false.
-std::string parse_stage_line(const std::string& line, StageEvent* ev,
-                             bool* is_stage, bool* bad_number) {
-  *is_stage = false;
-  *bad_number = false;
+/// Parses one StageCompleted line; anything else, or a StageCompleted line
+/// with a missing or malformed field, yields std::nullopt.
+std::optional<StageEvent> parse_stage_line(const std::string& line) {
   const auto event = json_field(line, "Event");
-  if (!event || *event != "StageCompleted") return {};
-  *is_stage = true;
+  if (!event || *event != "StageCompleted") return std::nullopt;
   const auto stage_id = json_field(line, "Stage ID");
   const auto name = json_field(line, "Stage Name");
   const auto submitted = json_field(line, "Submission Time");
   const auto completed = json_field(line, "Completion Time");
   const auto tasks = json_field(line, "Tasks");
   const auto spilled = json_field(line, "Spilled");
-  if (!stage_id) return "Stage ID";
-  if (!name) return "Stage Name";
-  if (!submitted) return "Submission Time";
-  if (!completed) return "Completion Time";
-  if (!tasks) return "Tasks";
-  if (!spilled) return "Spilled";
-  *bad_number = true;
-  if (!parse_size_field(*stage_id, &ev->stage_id)) return "Stage ID";
-  if (!parse_double_field(*submitted, &ev->submission_time)) {
-    return "Submission Time";
+  if (!stage_id || !name || !submitted || !completed || !tasks || !spilled) {
+    return std::nullopt;
   }
-  if (!parse_double_field(*completed, &ev->completion_time)) {
-    return "Completion Time";
+  StageEvent ev;
+  if (!parse_size_field(*stage_id, &ev.stage_id) ||
+      !parse_double_field(*submitted, &ev.submission_time) ||
+      !parse_double_field(*completed, &ev.completion_time) ||
+      !parse_size_field(*tasks, &ev.tasks)) {
+    return std::nullopt;
   }
-  if (!parse_size_field(*tasks, &ev->tasks)) return "Tasks";
-  *bad_number = false;
-  ev->stage_name = *name;
-  ev->spilled = *spilled == "1";
-  return {};
+  ev.stage_name = *name;
+  ev.spilled = *spilled == "1";
+  return ev;
 }
 
 }  // namespace
@@ -104,42 +93,7 @@ std::vector<StageEvent> parse_event_log(const std::string& log) {
   std::istringstream is(log);
   std::string line;
   while (std::getline(is, line)) {
-    StageEvent ev;
-    bool is_stage = false;
-    bool bad_number = false;
-    if (parse_stage_line(line, &ev, &is_stage, &bad_number).empty() &&
-        is_stage) {
-      events.push_back(std::move(ev));
-    }
-  }
-  return events;
-}
-
-std::string EventLogIssue::message() const {
-  return "line " + std::to_string(line) + ": " + to_string(error) + " '" +
-         field + "'";
-}
-
-Expected<std::vector<StageEvent>, EventLogIssue> parse_event_log_strict(
-    const std::string& log) {
-  std::vector<StageEvent> events;
-  std::istringstream is(log);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    StageEvent ev;
-    bool is_stage = false;
-    bool bad_number = false;
-    const std::string field =
-        parse_stage_line(line, &ev, &is_stage, &bad_number);
-    if (!field.empty()) {
-      return EventLogIssue{lineno,
-                           bad_number ? EventLogError::kBadNumber
-                                      : EventLogError::kMissingField,
-                           field};
-    }
-    if (is_stage) events.push_back(std::move(ev));
+    if (auto ev = parse_stage_line(line)) events.push_back(std::move(*ev));
   }
   return events;
 }
@@ -153,14 +107,6 @@ std::optional<double> job_latency(const std::vector<StageEvent>& events) {
     last = std::max(last, ev.completion_time);
   }
   return last - first;
-}
-
-std::optional<double> speedup_from_logs(const std::string& sequential_log,
-                                        const std::string& parallel_log) {
-  const auto seq = job_latency(parse_event_log(sequential_log));
-  const auto par = job_latency(parse_event_log(parallel_log));
-  if (!seq || !par || *par <= 0.0) return std::nullopt;
-  return *seq / *par;
 }
 
 std::map<std::string, double> stage_latency_totals(

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "core/expected.h"
 #include "spark/engine.h"
 
 #include <map>
@@ -40,47 +39,9 @@ struct StageEvent {
 /// logs interleave dozens of other event kinds), never thrown on.
 std::vector<StageEvent> parse_event_log(const std::string& log);
 
-/// Why a strict event-log parse rejected its input.
-enum class EventLogError {
-  kBadNumber,     ///< a numeric field does not parse as a number
-  kMissingField,  ///< a StageCompleted line lacks a required field
-};
-
-constexpr const char* to_string(EventLogError e) noexcept {
-  switch (e) {
-    case EventLogError::kBadNumber: return "malformed numeric field";
-    case EventLogError::kMissingField: return "missing required field";
-  }
-  return "unknown";
-}
-
-/// Strict-parse failure: which line (1-based) and why.
-struct EventLogIssue {
-  std::size_t line = 0;
-  EventLogError error = EventLogError::kBadNumber;
-  std::string field;  ///< the offending field name
-
-  std::string message() const;
-};
-
-/// Strict variant for pipelines that must not silently drop data: unknown
-/// event kinds are still skipped (that matches real Spark logs), but a
-/// StageCompleted line with a missing or malformed field is an error
-/// naming the line and field instead of a half-parsed event.
-Expected<std::vector<StageEvent>, EventLogIssue> parse_event_log_strict(
-    const std::string& log);
-
 /// Total job latency from a parsed log: last completion - first submission.
 /// Returns std::nullopt for a log without stage events.
 std::optional<double> job_latency(const std::vector<StageEvent>& events);
-
-/// Speedup from two raw event logs (sequential baseline vs scaled-out run),
-/// exactly the paper's methodology: "we extract the execution latencies for
-/// all stages from the application's Log file to derive the speedup".
-/// Returns std::nullopt when either log lacks stage events or the parallel
-/// latency is zero.
-std::optional<double> speedup_from_logs(const std::string& sequential_log,
-                                        const std::string& parallel_log);
 
 /// Per-stage-name total latency across a parsed log (iterative apps run the
 /// same stage many times; the paper sums per stage when attributing time).

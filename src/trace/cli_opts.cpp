@@ -54,6 +54,37 @@ FlagState find_flag(int argc, char** argv, const std::string& flag,
   return FlagState::kAbsent;
 }
 
+/// Strict unsigned parse of one flag value, range-checked to [min,max].
+Expected<std::size_t, FlagError> parse_size(const std::string& flag,
+                                            const std::string& v,
+                                            std::size_t min_value,
+                                            std::size_t max_value) {
+  // strtoull happily wraps "-5" into a huge value; reject signs up front.
+  if (v.empty() || v[0] == '-' || v[0] == '+') {
+    return FlagError{flag, "expected an unsigned integer, got '" + v + "'"};
+  }
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+  if (*end != '\0') {
+    return FlagError{flag, "expected an unsigned integer, got '" + v + "'"};
+  }
+  if (n < min_value || n > max_value) {
+    // Built by appending: `"[" + std::to_string(...)` trips a gcc 12
+    // -Wrestrict false positive inside libstdc++.
+    std::string message = "value ";
+    message += std::to_string(n);
+    message += " outside [";
+    message += std::to_string(min_value);
+    message += ", ";
+    message += max_value == std::numeric_limits<std::size_t>::max()
+                   ? std::string("inf")
+                   : std::to_string(max_value);
+    message += "]";
+    return FlagError{flag, message};
+  }
+  return static_cast<std::size_t>(n);
+}
+
 }  // namespace
 
 std::string flag_help() {
@@ -184,32 +215,41 @@ Expected<std::size_t, FlagError> size_flag_from_args(
     case FlagState::kHasValue:
       break;
   }
-  // strtoull happily wraps "-5" into a huge value; reject signs up front.
-  if (*v == '\0' || *v == '-' || *v == '+') {
-    return FlagError{flag, "expected an unsigned integer, got '" +
-                               std::string(v) + "'"};
+  return parse_size(flag, v, min_value, max_value);
+}
+
+Expected<std::vector<std::size_t>, FlagError> size_list_flag_from_args(
+    int argc, char** argv, const std::string& flag,
+    std::vector<std::size_t> fallback, std::size_t min_value,
+    std::size_t max_value) {
+  const char* v = nullptr;
+  switch (find_flag(argc, argv, flag, &v)) {
+    case FlagState::kAbsent:
+      return fallback;
+    case FlagState::kMissingValue:
+      return FlagError{flag, "missing a value"};
+    case FlagState::kHasValue:
+      break;
   }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') {
-    return FlagError{flag, "expected an unsigned integer, got '" +
-                               std::string(v) + "'"};
+  std::vector<std::size_t> out;
+  std::string_view rest(v);
+  while (true) {
+    const std::size_t comma = rest.find(',');
+    const auto item =
+        parse_size(flag, std::string(rest.substr(0, comma)), min_value,
+                   max_value);
+    if (!item.has_value()) return item.error();
+    out.push_back(*item);
+    if (comma == std::string_view::npos) return out;
+    rest.remove_prefix(comma + 1);
   }
-  if (n < min_value || n > max_value) {
-    // Built by appending: `"[" + std::to_string(...)` trips a gcc 12
-    // -Wrestrict false positive inside libstdc++.
-    std::string message = "value ";
-    message += std::to_string(n);
-    message += " outside [";
-    message += std::to_string(min_value);
-    message += ", ";
-    message += max_value == std::numeric_limits<std::size_t>::max()
-                   ? std::string("inf")
-                   : std::to_string(max_value);
-    message += "]";
-    return FlagError{flag, message};
+}
+
+bool has_flag(int argc, char** argv, std::string_view flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] == flag) return true;
   }
-  return static_cast<std::size_t>(n);
+  return false;
 }
 
 Expected<double, FlagError> double_flag_from_args(

@@ -10,6 +10,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
 /// \file cli_opts.h
 /// Shared CLI flag parsing for the bench/example executables. Every binary
@@ -97,6 +98,18 @@ struct FlagError {
 [[nodiscard]] Expected<double, FlagError> double_flag_from_args(
     int argc, char** argv, const std::string& flag, double fallback,
     double min_value, double max_value);
+
+/// Strict list flag "--flag 1,16,256": absent => `fallback`; present with
+/// an empty list, a malformed item, or an item outside [min,max] =>
+/// FlagError.
+[[nodiscard]] Expected<std::vector<std::size_t>, FlagError>
+size_list_flag_from_args(
+    int argc, char** argv, const std::string& flag,
+    std::vector<std::size_t> fallback, std::size_t min_value = 0,
+    std::size_t max_value = std::numeric_limits<std::size_t>::max());
+
+/// True when the bare switch `flag` (e.g. "--no-net") is in argv.
+[[nodiscard]] bool has_flag(int argc, char** argv, std::string_view flag);
 
 /// Strict string flag: absent => `fallback`; present but empty (or with no
 /// value) => FlagError.

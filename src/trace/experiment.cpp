@@ -1,29 +1,8 @@
 #include "trace/experiment.h"
 
 #include "core/laws.h"
-#include "trace/runner.h"
 
 namespace ipso::trace {
-
-// The sweep implementations live in runner.cpp: ExperimentRunner dispatches
-// the (workload, n, repetition) grid across a thread pool with per-task
-// seeding, and these wrappers preserve the historical serial API. Results
-// are bit-identical to the old serial loop at any thread count, so every
-// existing caller gets the parallel engine transparently.
-
-MrSweepResult run_mr_sweep(const mr::MrWorkloadSpec& workload,
-                           const sim::ClusterConfig& base,
-                           const MrSweepConfig& sweep) {
-  ExperimentRunner runner;
-  return runner.run_mr_sweep(workload, base, sweep);
-}
-
-SparkSweepResult run_spark_sweep(
-    const std::function<spark::SparkAppSpec(std::size_t)>& app_for,
-    const sim::ClusterConfig& base, const SparkSweepConfig& sweep) {
-  ExperimentRunner runner;
-  return runner.run_spark_sweep(app_for, base, sweep);
-}
 
 stats::Series law_baseline(const MrSweepResult& result, WorkloadType type) {
   const double eta = result.factors.eta;

@@ -7,16 +7,16 @@
 #include "spark/engine.h"
 #include "stats/series.h"
 
-#include <functional>
 #include <vector>
 
 /// \file experiment.h
-/// Experiment harness: sweeps a MapReduce workload over scale-out degrees,
-/// runs both the parallel and the sequential execution model at each point,
-/// and extracts the measured speedup plus the normalized scaling factors —
-/// exactly the measurement procedure of paper Section V. Results are
-/// averages over repetitions ("the data presented are average results of
-/// multiple experimental runs").
+/// Experiment sweeps: the configuration and result types of a sweep over
+/// scale-out degrees that runs both the parallel and the sequential
+/// execution model at each point and extracts the measured speedup plus the
+/// normalized scaling factors — exactly the measurement procedure of paper
+/// Section V. Results are averages over repetitions ("the data presented
+/// are average results of multiple experimental runs").
+/// trace::ExperimentRunner (runner.h) runs the sweeps.
 
 namespace ipso::trace {
 
@@ -63,16 +63,6 @@ struct MrSweepResult {
   double ts1 = 0.0;  ///< E[Ts(1)]: serial workload at n = 1
 };
 
-/// Runs the sweep. `base` supplies every cluster parameter except the
-/// worker count, which is overridden per point. Throws on an empty sweep.
-/// This is a convenience wrapper over a default-configured ExperimentRunner
-/// (see trace/runner.h): the grid executes in parallel across
-/// IPSO_THREADS-or-hardware-concurrency threads, with results bit-identical
-/// to serial execution.
-MrSweepResult run_mr_sweep(const mr::MrWorkloadSpec& workload,
-                           const sim::ClusterConfig& base,
-                           const MrSweepConfig& sweep);
-
 /// Gustafson / Amdahl baseline curve over the sweep's n values, using the
 /// sweep's measured eta (for side-by-side tables as in Figs. 4, 7, 8).
 stats::Series law_baseline(const MrSweepResult& result, WorkloadType type);
@@ -109,14 +99,5 @@ struct SparkSweepResult {
   double tp1 = 0.0;
   double ts1 = 0.0;
 };
-
-/// Runs a Spark sweep. `app_for` builds the application for a given N (CF
-/// divides a fixed total workload across N tasks; the ML apps ignore N in
-/// their per-task costs) and must be thread-safe — sweep points run on an
-/// ExperimentRunner's pool (trace/runner.h). `base` supplies cluster
-/// parameters; workers are overridden with m at each point.
-SparkSweepResult run_spark_sweep(
-    const std::function<spark::SparkAppSpec(std::size_t)>& app_for,
-    const sim::ClusterConfig& base, const SparkSweepConfig& sweep);
 
 }  // namespace ipso::trace

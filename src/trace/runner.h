@@ -16,11 +16,6 @@
 /// from (base seed, n, rep), and repetition averages are reduced in
 /// repetition order — so results are bit-identical to the historical serial
 /// harness at any thread count.
-///
-/// The free functions run_mr_sweep / run_spark_sweep in experiment.h remain
-/// as thin wrappers over a default-configured runner; construct a runner
-/// explicitly to pin the thread count, observe per-task progress, or read
-/// aggregate metrics.
 
 namespace ipso::trace {
 
@@ -73,13 +68,18 @@ class ExperimentRunner {
 
   /// Parallel MapReduce sweep; bit-identical to the serial procedure of
   /// paper Section V (see experiment.h for the semantics of `sweep`).
+  /// `base` supplies every cluster parameter except the worker count, which
+  /// is overridden per point. Throws on an empty sweep.
   MrSweepResult run_mr_sweep(const mr::MrWorkloadSpec& workload,
                              const sim::ClusterConfig& base,
                              const MrSweepConfig& sweep);
 
-  /// Parallel Spark sweep (paper Section V.B). `app_for` is invoked from
-  /// worker threads and must be thread-safe; the bundled Spark app builders
-  /// are pure functions of their argument.
+  /// Parallel Spark sweep (paper Section V.B). `app_for` builds the
+  /// application for a given N (CF divides a fixed total workload across N
+  /// tasks; the ML apps ignore N in their per-task costs). It is invoked
+  /// from worker threads and must be thread-safe; the bundled Spark app
+  /// builders are pure functions of their argument. `base` supplies cluster
+  /// parameters; workers are overridden with m at each point.
   SparkSweepResult run_spark_sweep(
       const std::function<spark::SparkAppSpec(std::size_t)>& app_for,
       const sim::ClusterConfig& base, const SparkSweepConfig& sweep);

@@ -1,7 +1,5 @@
 #include "workloads/qmc_pi.h"
 
-#include <vector>
-
 namespace ipso::wl {
 
 double van_der_corput(std::uint64_t index, std::uint32_t base) noexcept {
@@ -39,15 +37,6 @@ double qmc_estimate(const QmcTally* tallies, std::size_t count) noexcept {
   }
   if (total == 0) return 0.0;
   return 4.0 * static_cast<double>(inside) / static_cast<double>(total);
-}
-
-double qmc_pi_run(std::size_t tasks, std::uint64_t samples_per_task) {
-  std::vector<QmcTally> tallies(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    tallies[t] = qmc_map(static_cast<std::uint64_t>(t) * samples_per_task,
-                         samples_per_task);
-  }
-  return qmc_estimate(tallies.data(), tallies.size());
 }
 
 mr::MrWorkloadSpec qmc_pi_spec() {

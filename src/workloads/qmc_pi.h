@@ -31,9 +31,6 @@ QmcTally qmc_map(std::uint64_t offset, std::uint64_t samples) noexcept;
 /// Reducer: combines tallies and estimates pi = 4 * inside / total.
 double qmc_estimate(const QmcTally* tallies, std::size_t count) noexcept;
 
-/// End-to-end estimate over `tasks` map tasks of `samples_per_task` points.
-double qmc_pi_run(std::size_t tasks, std::uint64_t samples_per_task);
-
 /// Simulation cost model: one "input byte" represents one Halton sample's
 /// work footprint; intermediate data is 16 bytes per task; the merge is a
 /// constant-time sum.

@@ -39,17 +39,6 @@ std::vector<std::string> sort_merge(
   return out;
 }
 
-std::vector<std::string> sort_run(const Dictionary& dict, std::uint64_t seed,
-                                  std::size_t shards,
-                                  std::size_t shard_bytes) {
-  std::vector<std::vector<std::string>> runs;
-  runs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    runs.push_back(sort_map(generate_text(dict, seed + s, shard_bytes)));
-  }
-  return sort_merge(runs);
-}
-
 bool is_sorted_output(const std::vector<std::string>& words) {
   return std::is_sorted(words.begin(), words.end());
 }

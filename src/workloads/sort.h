@@ -24,10 +24,6 @@ std::vector<std::string> sort_map(const std::string& shard_text);
 std::vector<std::string> sort_merge(
     const std::vector<std::vector<std::string>>& runs);
 
-/// End-to-end functional Sort over generated text shards.
-std::vector<std::string> sort_run(const Dictionary& dict, std::uint64_t seed,
-                                  std::size_t shards, std::size_t shard_bytes);
-
 /// True when `words` is in non-decreasing order.
 bool is_sorted_output(const std::vector<std::string>& words);
 

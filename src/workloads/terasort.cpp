@@ -26,29 +26,6 @@ std::vector<TeraRecord> terasort_map(std::vector<TeraRecord> shard) {
   return shard;
 }
 
-std::vector<std::array<std::uint8_t, 10>> terasort_split_keys(
-    const std::vector<TeraRecord>& sample, std::size_t partitions) {
-  std::vector<std::array<std::uint8_t, 10>> keys;
-  if (partitions <= 1 || sample.empty()) return keys;
-  std::vector<std::array<std::uint8_t, 10>> sorted;
-  sorted.reserve(sample.size());
-  for (const auto& rec : sample) sorted.push_back(rec.key);
-  std::sort(sorted.begin(), sorted.end());
-  keys.reserve(partitions - 1);
-  for (std::size_t p = 1; p < partitions; ++p) {
-    keys.push_back(sorted[p * sorted.size() / partitions]);
-  }
-  return keys;
-}
-
-std::size_t terasort_partition(
-    const std::array<std::uint8_t, 10>& key,
-    const std::vector<std::array<std::uint8_t, 10>>& splits) {
-  // First split strictly greater than the key marks the partition.
-  const auto it = std::upper_bound(splits.begin(), splits.end(), key);
-  return static_cast<std::size_t>(it - splits.begin());
-}
-
 std::vector<TeraRecord> terasort_merge(
     const std::vector<std::vector<TeraRecord>>& runs) {
   struct Cursor {
@@ -74,16 +51,6 @@ std::vector<TeraRecord> terasort_merge(
     if (++c.pos < c.run->size()) heap.push(c);
   }
   return out;
-}
-
-std::vector<TeraRecord> terasort_run(std::uint64_t seed, std::size_t shards,
-                                     std::size_t records_per_shard) {
-  std::vector<std::vector<TeraRecord>> runs;
-  runs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    runs.push_back(terasort_map(teragen(seed + s, records_per_shard)));
-  }
-  return terasort_merge(runs);
 }
 
 std::uint64_t tera_checksum(const std::vector<TeraRecord>& records) {

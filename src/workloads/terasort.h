@@ -10,8 +10,7 @@
 
 /// \file terasort.h
 /// TeraSort (paper Fig. 4(d), Fig. 5): TeraGen-style 100-byte records with
-/// 10-byte keys, a sample-based range partitioner, local sort in the map
-/// phase and a merging reducer. All data flows to the merge phase
+/// 10-byte keys, local sort in the map phase and a merging reducer. All data flows to the merge phase
 /// (in-proportion IN(n)), and the binary intermediate overflows the ~2 GB
 /// reducer memory at n ~ 15, producing the step-wise IN(n) of Fig. 5.
 
@@ -36,23 +35,9 @@ std::vector<TeraRecord> teragen(std::uint64_t seed, std::size_t count);
 /// Map task: locally sorts one shard of records.
 std::vector<TeraRecord> terasort_map(std::vector<TeraRecord> shard);
 
-/// Sample-based range partitioner: picks `partitions - 1` split keys from a
-/// sample of the input, as TeraSort's partitioner does.
-std::vector<std::array<std::uint8_t, 10>> terasort_split_keys(
-    const std::vector<TeraRecord>& sample, std::size_t partitions);
-
-/// Partition index of a key given split points (0-based).
-std::size_t terasort_partition(
-    const std::array<std::uint8_t, 10>& key,
-    const std::vector<std::array<std::uint8_t, 10>>& splits);
-
 /// Reducer: k-way merge of sorted runs.
 std::vector<TeraRecord> terasort_merge(
     const std::vector<std::vector<TeraRecord>>& runs);
-
-/// End-to-end functional TeraSort: generate, shard, sort, merge.
-std::vector<TeraRecord> terasort_run(std::uint64_t seed, std::size_t shards,
-                                     std::size_t records_per_shard);
 
 /// XOR-fold checksum over records; invariant under permutation, used to
 /// verify the sort is a permutation of its input.

@@ -35,17 +35,6 @@ double wordcount_histogram_bytes(const WordHistogram& h) {
   return bytes;
 }
 
-WordHistogram wordcount_run(const Dictionary& dict, std::uint64_t seed,
-                            std::size_t shards, std::size_t shard_bytes) {
-  WordHistogram merged;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::string text = generate_text(dict, seed + s, shard_bytes);
-    const WordHistogram local = wordcount_map(text);
-    wordcount_merge(merged, local);
-  }
-  return merged;
-}
-
 std::uint64_t wordcount_total(const WordHistogram& h) {
   std::uint64_t total = 0;
   for (const auto& [_, count] : h) total += count;

@@ -29,11 +29,6 @@ void wordcount_merge(WordHistogram& dst, const WordHistogram& src);
 /// the measured intermediate-data volume of one map task.
 double wordcount_histogram_bytes(const WordHistogram& h);
 
-/// End-to-end functional WordCount over `shards` generated text shards of
-/// `shard_bytes` each; returns the merged histogram.
-WordHistogram wordcount_run(const Dictionary& dict, std::uint64_t seed,
-                            std::size_t shards, std::size_t shard_bytes);
-
 /// Total number of word occurrences in a histogram.
 std::uint64_t wordcount_total(const WordHistogram& h);
 

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace ipso {
 namespace {
@@ -116,6 +117,58 @@ TEST(CliOpts, HandleInfoFlagsIgnoresOrdinaryArgs) {
   EXPECT_FALSE(trace::handle_info_flags(4, const_cast<char**>(argv)));
   const char* bare[] = {"prog"};
   EXPECT_FALSE(trace::handle_info_flags(1, const_cast<char**>(bare)));
+}
+
+TEST(CliOpts, SizeListFlagParsesStrictly) {
+  using List = std::vector<std::size_t>;
+  const char* absent[] = {"prog"};
+  EXPECT_EQ(trace::size_list_flag_from_args(
+                1, const_cast<char**>(absent), "--conns", {1, 16})
+                .value(),
+            (List{1, 16}));
+  const char* good[] = {"prog", "--conns", "1,16,256"};
+  EXPECT_EQ(trace::size_list_flag_from_args(3, const_cast<char**>(good),
+                                            "--conns", {}, 1)
+                .value(),
+            (List{1, 16, 256}));
+  const char* eq[] = {"prog", "--conns=64"};
+  EXPECT_EQ(trace::size_list_flag_from_args(2, const_cast<char**>(eq),
+                                            "--conns", {}, 1)
+                .value(),
+            (List{64}));
+  for (const char* bad : {"", "lots", "1,,2", "1,x", "-1", "4,0"}) {
+    const char* argv[] = {"prog", "--conns", bad};
+    const auto parsed = trace::size_list_flag_from_args(
+        3, const_cast<char**>(argv), "--conns", {1}, 1);
+    ASSERT_FALSE(parsed.has_value()) << bad;
+    EXPECT_EQ(parsed.error().flag, "--conns");
+  }
+  const char* missing[] = {"prog", "--conns"};
+  EXPECT_FALSE(trace::size_list_flag_from_args(
+                   2, const_cast<char**>(missing), "--conns", {1})
+                   .has_value());
+}
+
+TEST(CliOpts, SizeFlagNamesTheBadValue) {
+  const char* argv[] = {"prog", "--requests", "lots"};
+  const auto parsed =
+      trace::size_flag_from_args(3, const_cast<char**>(argv), "--requests", 20);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().to_string(),
+            "--requests: expected an unsigned integer, got 'lots'");
+  const char* small[] = {"prog", "--requests=4"};
+  EXPECT_EQ(trace::size_flag_from_args(2, const_cast<char**>(small),
+                                       "--requests", 20, 8)
+                .error()
+                .to_string(),
+            "--requests: value 4 outside [8, inf]");
+}
+
+TEST(CliOpts, HasFlagMatchesTheWholeArgument) {
+  const char* argv[] = {"prog", "--no-net", "--router-keys", "4"};
+  EXPECT_TRUE(trace::has_flag(4, const_cast<char**>(argv), "--no-net"));
+  EXPECT_FALSE(trace::has_flag(4, const_cast<char**>(argv), "--router"));
+  EXPECT_FALSE(trace::has_flag(4, const_cast<char**>(argv), "--no-store"));
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 #include "core/fit.h"
 
+#include "core/classify.h"
+#include "stats/random.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace ipso {
 namespace {
@@ -176,6 +181,56 @@ TEST(FitFactors, ClampsDeltaIntoPaperDomain) {
   EXPECT_LT(fits.params.alpha, 4.5);
 }
 
+TEST(FitFactors, FallingQTailClampsGammaToZero) {
+  // q halves at every doubling of n: the raw tail fit is q = 4·n^-1. Gamma
+  // is clamped to 0 and beta refit as the tail level; q_fit keeps the raw
+  // exponent.
+  FactorMeasurements m;
+  m.eta = 1.0;
+  for (double n : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
+    m.ex.add(n, n);
+    m.q.add(n, n == 1.0 ? 0.0 : 4.0 / n);
+  }
+  const FactorFits fits = fit_factors(WorkloadType::kFixedTime, m).value();
+  EXPECT_DOUBLE_EQ(fits.params.gamma, 0.0);
+  EXPECT_DOUBLE_EQ(fits.params.beta, (0.5 + 0.25 + 0.125) / 3.0);
+  ASSERT_TRUE(fits.q_fit.has_value());
+  EXPECT_NEAR(fits.q_fit->exponent, -1.0, 1e-12);
+  EXPECT_NO_THROW(static_cast<void>(classify(fits.params)));
+}
+
+TEST(FitFactors, EverySuccessfulFitClassifies) {
+  // Seeded traces whose q(n) tail falls, stays flat, or rises, each under
+  // multiplicative noise, over both workload types and the whole eta
+  // domain: whatever fit_factors returns must be a valid classify input.
+  stats::Rng rng(2019);
+  const std::vector<double> ns{1, 2, 3, 4, 6, 8, 12, 16, 24, 32};
+  int fitted = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const double gamma = std::vector<double>{-1.5, -0.3, 0.0, 0.8}[trial % 4];
+    const double noise = std::vector<double>{0.0, 0.05, 0.4}[trial % 3];
+    const WorkloadType type =
+        trial % 2 == 0 ? WorkloadType::kFixedTime : WorkloadType::kFixedSize;
+    FactorMeasurements m;
+    m.eta = trial % 5 == 0 ? 1.0 : rng.uniform(0.0, 1.0);
+    const double beta = rng.uniform(0.2, 5.0);
+    const double in_slope = rng.uniform(0.0, 0.5);
+    for (double n : ns) {
+      const double jitter = 1.0 + noise * rng.uniform(-1.0, 1.0);
+      m.ex.add(n, type == WorkloadType::kFixedTime ? n * jitter : jitter);
+      m.in.add(n, 1.0 + in_slope * (n - 1.0));
+      m.q.add(n, n == 1.0 ? 0.0 : beta * std::pow(n, gamma) * jitter);
+    }
+    const Expected<FactorFits> fits = fit_factors(type, m);
+    if (!fits.has_value()) continue;
+    ++fitted;
+    EXPECT_GE(fits->params.gamma, 0.0) << "trial " << trial;
+    EXPECT_NO_THROW(static_cast<void>(classify(fits->params)))
+        << "trial " << trial;
+  }
+  EXPECT_GT(fitted, 500);
+}
+
 TEST(DetectChangepoint, FindsTeraSortStep) {
   stats::Series in("IN terasort");
   for (int n = 1; n <= 40; ++n) {
@@ -195,6 +250,23 @@ TEST(DetectChangepoint, NoFalsePositiveOnStraightLine) {
   const auto seg = detect_in_changepoint(in);
   ASSERT_FALSE(seg.has_value());
   EXPECT_EQ(seg.error(), FitError::kNoChangepoint);
+}
+
+TEST(DetectChangepoint, NoChangepointInRoundingNoise) {
+  // A flat IN(n) at a non-integer level over non-integer x fits a single
+  // line to within rounding; both SSEs are ~1e-27 and must not be compared.
+  stats::Rng rng(20);
+  int changepoints = 0;
+  for (int s = 0; s < 2000; ++s) {
+    const double level = rng.uniform(-20.0, 20.0);
+    std::vector<double> xs(10 + rng.uniform_below(291));
+    for (double& x : xs) x = rng.uniform(1.0, 100.0);
+    std::sort(xs.begin(), xs.end());
+    stats::Series in("IN flat");
+    for (double x : xs) in.add(x, level);
+    if (detect_in_changepoint(in, 3).has_value()) ++changepoints;
+  }
+  EXPECT_EQ(changepoints, 0);
 }
 
 TEST(DetectChangepoint, TooFewPointsIsInsufficientData) {

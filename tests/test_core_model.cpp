@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace ipso {
 namespace {
@@ -131,6 +130,8 @@ TEST(Asymptotic, EtaOneUsesEqSeventeen) {
   for (double n : {2.0, 10.0, 100.0}) {
     EXPECT_NEAR(speedup_asymptotic(p, n), n / (1.0 + 0.01 * n * n), 1e-12);
   }
+  p.beta = 0.0;  // no scale-out overhead: S(n) = n
+  EXPECT_DOUBLE_EQ(speedup_asymptotic(p, 4.0), 4.0);
 }
 
 TEST(Asymptotic, SuperlinearOverheadEventuallyBelowOne) {
@@ -164,31 +165,6 @@ TEST(EtaFromTimes, Basics) {
   EXPECT_DOUBLE_EQ(eta_from_times(30.0, 10.0), 0.75);
   EXPECT_DOUBLE_EQ(eta_from_times(10.0, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(eta_from_times(0.0, 0.0), 0.0);
-}
-
-TEST(Curves, SweepEvaluation) {
-  const std::vector<double> ns{1, 2, 4, 8};
-  const auto f = no_overhead_fixed_time();
-  const SpeedupCurve det = speedup_curve(f, 1.0, ns);
-  ASSERT_EQ(det.size(), 4u);
-  EXPECT_DOUBLE_EQ(det.ns[3], 8.0);
-  EXPECT_DOUBLE_EQ(det.speedups[3], 8.0);
-
-  AsymptoticParams p;
-  p.eta = 1.0;
-  const SpeedupCurve asym = speedup_curve(p, ns);
-  EXPECT_DOUBLE_EQ(asym.speedups[2], 4.0);
-}
-
-TEST(Curves, AsSeriesKeepsOrderAndName) {
-  const std::vector<double> ns{1, 2, 4};
-  AsymptoticParams p;
-  p.eta = 1.0;
-  const stats::Series s = speedup_curve(p, ns).as_series("model S(n)");
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.name(), "model S(n)");
-  EXPECT_DOUBLE_EQ(s[2].x, 4.0);
-  EXPECT_DOUBLE_EQ(s[2].y, 4.0);
 }
 
 }  // namespace

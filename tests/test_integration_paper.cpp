@@ -3,13 +3,10 @@
 #include "core/predict.h"
 #include "trace/experiment.h"
 #include "trace/reference_data.h"
-#include "workloads/bayes.h"
-#include "workloads/collab_filter.h"
-#include "workloads/nweight.h"
+#include "trace/runner.h"
 #include "workloads/qmc_pi.h"
-#include "workloads/random_forest.h"
 #include "workloads/sort.h"
-#include "workloads/svm.h"
+#include "workloads/spark_apps.h"
 #include "workloads/terasort.h"
 #include "workloads/wordcount.h"
 
@@ -23,11 +20,12 @@ namespace ipso {
 namespace {
 
 trace::MrSweepResult sweep_mr(const mr::MrWorkloadSpec& spec) {
+  trace::ExperimentRunner runner;
   trace::MrSweepConfig sweep;
   sweep.type = WorkloadType::kFixedTime;
   sweep.ns = {1, 2, 4, 8, 16, 32, 64, 96, 128, 160};
   sweep.repetitions = 1;
-  return trace::run_mr_sweep(spec, sim::default_emr_cluster(1), sweep);
+  return runner.run_mr_sweep(spec, sim::default_emr_cluster(1), sweep);
 }
 
 // --- Fig. 4(a): QMC matches Gustafson (type It, eta ~ 1)
@@ -79,11 +77,12 @@ TEST(Fig4, TeraSortBoundedByThree) {
 // and then falls back before it grows again").
 
 TEST(Fig4, TeraSortSurgeAndDipAtSpillOnset) {
+  trace::ExperimentRunner runner;
   trace::MrSweepConfig sweep;
   sweep.type = WorkloadType::kFixedTime;
   sweep.repetitions = 1;
   for (double n = 12; n <= 20; ++n) sweep.ns.push_back(n);
-  const auto r = trace::run_mr_sweep(wl::terasort_spec(),
+  const auto r = runner.run_mr_sweep(wl::terasort_spec(),
                                      sim::default_emr_cluster(1), sweep);
   const double before = r.speedup.interpolate(15.0);
   const double at_spill = r.speedup.interpolate(16.0);
@@ -95,11 +94,12 @@ TEST(Fig4, TeraSortSurgeAndDipAtSpillOnset) {
 // --- Fig. 5: TeraSort IN(n) is step-wise at the memory overflow
 
 TEST(Fig5, TeraSortInternalScalingHasChangepoint) {
+  trace::ExperimentRunner runner;
   trace::MrSweepConfig sweep;
   sweep.type = WorkloadType::kFixedTime;
   sweep.repetitions = 1;
   for (double n = 1; n <= 40; ++n) sweep.ns.push_back(n);
-  const auto r = trace::run_mr_sweep(wl::terasort_spec(),
+  const auto r = runner.run_mr_sweep(wl::terasort_spec(),
                                      sim::default_emr_cluster(1), sweep);
   const auto seg = detect_in_changepoint(r.factors.in);
   ASSERT_TRUE(seg.has_value());
@@ -146,6 +146,7 @@ TEST(Fig6, TeraSortPostSpillLineMatchesPaper) {
 class Fig7Prediction : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(Fig7Prediction, SmallNFitPredictsLargeN) {
+  trace::ExperimentRunner runner;
   const std::string which = GetParam();
   mr::MrWorkloadSpec spec;
   if (which == "QMC") spec = wl::qmc_pi_spec();
@@ -161,7 +162,7 @@ TEST_P(Fig7Prediction, SmallNFitPredictsLargeN) {
   sweep.ns = tera ? std::vector<double>{16, 24, 32, 40, 48, 56, 64}
                   : std::vector<double>{1, 2, 4, 6, 8, 10, 12, 14, 16};
   const auto fit_sweep =
-      trace::run_mr_sweep(spec, sim::default_emr_cluster(1), sweep);
+      runner.run_mr_sweep(spec, sim::default_emr_cluster(1), sweep);
 
   const FactorFits fits =
       fit_factors(WorkloadType::kFixedTime, fit_sweep.factors).value();
@@ -173,7 +174,7 @@ TEST_P(Fig7Prediction, SmallNFitPredictsLargeN) {
   big.repetitions = 1;
   big.ns = {96, 160};
   const auto measured =
-      trace::run_mr_sweep(spec, sim::default_emr_cluster(1), big);
+      runner.run_mr_sweep(spec, sim::default_emr_cluster(1), big);
   // 20% tolerance: constants that are invisible inside the small-n fit
   // window (job init, dispatch) surface at n = 160 — the paper's own
   // Fig. 7 shows the IPSO curve slightly above the measured points for
@@ -211,12 +212,13 @@ TEST(Fig8, PaperTableOneYieldsGammaTwoAndPeakNearSixty) {
 }
 
 TEST(Fig8, SimulatedCfPeaksAndFalls) {
+  trace::ExperimentRunner runner;
   trace::SparkSweepConfig sweep;
   sweep.type = WorkloadType::kFixedTime;  // CF runs one task per node
   sweep.tasks_per_executor = 1;           // but the *workload* is fixed-size
   sweep.ms = {1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 120};
   sweep.params.first_wave_overhead = 0.45;
-  const auto r = trace::run_spark_sweep(
+  const auto r = runner.run_spark_sweep(
       [](std::size_t n) { return wl::collab_filter_app(n); },
       sim::default_emr_cluster(1), sweep);
   EXPECT_TRUE(stats::is_peaked(r.speedup));
@@ -238,6 +240,7 @@ sim::ClusterConfig spark_cluster() {
 class Fig9Ordering : public ::testing::TestWithParam<int> {};
 
 TEST_P(Fig9Ordering, PerExecutorLoadOrdering) {
+  trace::ExperimentRunner runner;
   spark::SparkAppSpec app;
   switch (GetParam()) {
     case 0: app = wl::bayes_app(); break;
@@ -250,7 +253,7 @@ TEST_P(Fig9Ordering, PerExecutorLoadOrdering) {
     sweep.type = WorkloadType::kFixedTime;
     sweep.tasks_per_executor = k;
     sweep.ms = {m};
-    return trace::run_spark_sweep([&](std::size_t) { return app; },
+    return runner.run_spark_sweep([&](std::size_t) { return app; },
                                   spark_cluster(), sweep)
         .speedup[0]
         .y;
@@ -274,6 +277,7 @@ INSTANTIATE_TEST_SUITE_P(AllFourApps, Fig9Ordering,
 class Fig10Peak : public ::testing::TestWithParam<int> {};
 
 TEST_P(Fig10Peak, FixedSizeSpeedupPeaksThenFalls) {
+  trace::ExperimentRunner runner;
   spark::SparkAppSpec app;
   switch (GetParam()) {
     case 0: app = wl::bayes_app(); break;
@@ -285,7 +289,7 @@ TEST_P(Fig10Peak, FixedSizeSpeedupPeaksThenFalls) {
   sweep.type = WorkloadType::kFixedSize;
   sweep.total_tasks = 192;
   sweep.ms = {1, 2, 4, 8, 16, 32, 48, 64, 96, 128, 160, 192};
-  const auto r = trace::run_spark_sweep([&](std::size_t) { return app; },
+  const auto r = runner.run_spark_sweep([&](std::size_t) { return app; },
                                         spark_cluster(), sweep);
   EXPECT_TRUE(stats::is_peaked(r.speedup)) << app.name;
   const double peak_m = r.speedup.argmax_x();
@@ -299,6 +303,7 @@ INSTANTIATE_TEST_SUITE_P(AllFourApps, Fig10Peak,
 // --- Section V diagnosis: the six-step procedure names every case
 
 TEST(Diagnosis, NineCasesGetTheExpectedTypes) {
+  trace::ExperimentRunner runner;
   // MapReduce fixed-time cases.
   {
     const auto r = sweep_mr(wl::qmc_pi_spec());
@@ -325,7 +330,7 @@ TEST(Diagnosis, NineCasesGetTheExpectedTypes) {
     sweep.tasks_per_executor = 1;
     sweep.ms = {1, 10, 30, 60, 90, 120};
     sweep.params.first_wave_overhead = 0.45;
-    const auto r = trace::run_spark_sweep(
+    const auto r = runner.run_spark_sweep(
         [](std::size_t n) { return wl::collab_filter_app(n); },
         sim::default_emr_cluster(1), sweep);
     const auto d = diagnose(WorkloadType::kFixedSize, r.speedup).value();

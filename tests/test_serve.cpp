@@ -228,6 +228,24 @@ TEST(ServeEngine, PingFitAndExplicitParamsOps) {
   EXPECT_TRUE(is_ok(engine.handle("{\"op\":\"stats\"}")));
 }
 
+TEST(ServeEngine, FallingQFitAnswersOkWithGammaZero) {
+  // q(n) falls over the tail, so the raw power fit has gamma = -1. The fit
+  // clamps gamma to 0, so the encoder's classify accepts the params and the
+  // answer is a fit, not a contract violation, on a miss and on a hit.
+  ServeEngine engine(threads_config(1));
+  const std::string request =
+      R"({"op":"fit","workload":"fixed-time","eta":1,)"
+      R"("ex":[[1,1],[2,2],[4,4],[8,8],[16,16],[32,32]],)"
+      R"("q":[[1,0],[2,2],[4,1],[8,0.5],[16,0.25],[32,0.125]]})";
+  for (int round = 0; round < 2; ++round) {
+    const std::string fit = engine.handle(request);
+    ASSERT_TRUE(is_ok(fit)) << fit;
+    EXPECT_NE(fit.find("\"gamma\":0}"), std::string::npos) << fit;
+    EXPECT_NE(fit.find("\"classification\":"), std::string::npos) << fit;
+  }
+  EXPECT_EQ(engine.fits_performed(), 1u);
+}
+
 TEST(ServeEngine, ParseErrorsDoNotConsumeQueueSlots) {
   ServeConfig cfg;
   cfg.threads = 1;

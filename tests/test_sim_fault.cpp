@@ -6,8 +6,8 @@
 #include "trace/experiment.h"
 #include "trace/cli_opts.h"
 #include "trace/runner.h"
-#include "workloads/bayes.h"
 #include "workloads/sort.h"
+#include "workloads/spark_apps.h"
 
 #include <gtest/gtest.h>
 

@@ -8,33 +8,6 @@
 namespace ipso::sim {
 namespace {
 
-TEST(Mm1, KnownValues) {
-  // rho = 0.5, mu = 1: W = 0.5 / (1 * 0.5) = 1.
-  EXPECT_DOUBLE_EQ(mm1_wait(0.5, 1.0), 1.0);
-  // Light load: almost no waiting.
-  EXPECT_LT(mm1_wait(0.01, 1.0), 0.02);
-}
-
-TEST(Mm1, DivergesTowardSaturation) {
-  EXPECT_GT(mm1_wait(0.99, 1.0), 50.0);
-}
-
-TEST(Mm1, RejectsUnstableQueue) {
-  EXPECT_THROW(mm1_wait(1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(mm1_wait(2.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(mm1_wait(-0.1, 1.0), std::invalid_argument);
-  EXPECT_THROW(mm1_wait(0.5, 0.0), std::invalid_argument);
-}
-
-TEST(Md1, HalfOfMm1) {
-  EXPECT_DOUBLE_EQ(md1_wait(0.5, 1.0), 0.5 * mm1_wait(0.5, 1.0));
-}
-
-TEST(Mm1, InSystemLittle) {
-  // L = rho/(1-rho) at rho = 0.5 is 1.
-  EXPECT_DOUBLE_EQ(mm1_in_system(0.5, 1.0), 1.0);
-}
-
 TEST(Contention, ValidatesParameters) {
   EXPECT_THROW(SharedResourceContention(1.0, 10.0), std::invalid_argument);
   EXPECT_THROW(SharedResourceContention(-0.1, 10.0), std::invalid_argument);

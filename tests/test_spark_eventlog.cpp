@@ -52,6 +52,11 @@ TEST(SparkEventLog, TolerantParserSkipsForeignAndMalformedLines) {
       "{\"Event\":\"StageCompleted\",\"Stage ID\":oops,\"Stage Name\":\"bad"
       "\",\"Submission Time\":0,\"Completion Time\":1,\"Tasks\":1,"
       "\"Spilled\":0}\n"
+      "{\"Event\":\"StageCompleted\",\"Stage ID\":2,\"Stage Name\":\"bad\","
+      "\"Submission Time\":abc,\"Completion Time\":3,\"Tasks\":1,"
+      "\"Spilled\":0}\n"
+      "{\"Event\":\"StageCompleted\",\"Stage ID\":3,\"Stage Name\":\"short\","
+      "\"Submission Time\":0,\"Completion Time\":2,\"Spilled\":0}\n"
       "{\"Event\":\"StageCompleted\",\"Stage ID\":1,\"Stage Name\":"
       "\"reduce\",\"Submission Time\":2,\"Completion Time\":5,\"Tasks\":2,"
       "\"Spilled\":1}\n";
@@ -61,71 +66,12 @@ TEST(SparkEventLog, TolerantParserSkipsForeignAndMalformedLines) {
   EXPECT_EQ(events[1].stage_name, "reduce");
 }
 
-TEST(SparkEventLog, StrictParserAcceptsCleanLogs) {
-  const std::string log = to_event_log(two_stage_job());
-  const auto events = parse_event_log_strict(log);
-  ASSERT_TRUE(events.has_value()) << events.error().message();
-  EXPECT_EQ(events->size(), 2u);
-}
-
-TEST(SparkEventLog, StrictParserNamesTheBadNumberAndLine) {
-  const std::string log =
-      "{\"Event\":\"StageCompleted\",\"Stage ID\":0,\"Stage Name\":\"map\","
-      "\"Submission Time\":0,\"Completion Time\":2,\"Tasks\":4,"
-      "\"Spilled\":0}\n"
-      "{\"Event\":\"StageCompleted\",\"Stage ID\":1,\"Stage Name\":\"bad\","
-      "\"Submission Time\":abc,\"Completion Time\":3,\"Tasks\":1,"
-      "\"Spilled\":0}\n";
-  const auto events = parse_event_log_strict(log);
-  ASSERT_FALSE(events.has_value());
-  EXPECT_EQ(events.error().line, 2u);
-  EXPECT_EQ(events.error().error, EventLogError::kBadNumber);
-  EXPECT_EQ(events.error().field, "Submission Time");
-  EXPECT_EQ(events.error().message(),
-            "line 2: malformed numeric field 'Submission Time'");
-}
-
-TEST(SparkEventLog, StrictParserNamesTheMissingField) {
-  const std::string log =
-      "{\"Event\":\"StageCompleted\",\"Stage ID\":0,\"Stage Name\":\"map\","
-      "\"Submission Time\":0,\"Completion Time\":2,\"Spilled\":0}\n";
-  const auto events = parse_event_log_strict(log);
-  ASSERT_FALSE(events.has_value());
-  EXPECT_EQ(events.error().line, 1u);
-  EXPECT_EQ(events.error().error, EventLogError::kMissingField);
-  EXPECT_EQ(events.error().field, "Tasks");
-}
-
-TEST(SparkEventLog, StrictParserStillSkipsForeignEvents) {
-  const std::string log =
-      "{\"Event\":\"SparkListenerJobStart\",\"Job ID\":0}\n"
-      "{\"Event\":\"StageCompleted\",\"Stage ID\":0,\"Stage Name\":\"map\","
-      "\"Submission Time\":0,\"Completion Time\":2,\"Tasks\":4,"
-      "\"Spilled\":0}\n";
-  const auto events = parse_event_log_strict(log);
-  ASSERT_TRUE(events.has_value()) << events.error().message();
-  EXPECT_EQ(events->size(), 1u);
-}
-
 TEST(SparkEventLog, JobLatencySpansFirstSubmissionToLastCompletion) {
   const auto events = parse_event_log(to_event_log(two_stage_job()));
   const auto latency = job_latency(events);
   ASSERT_TRUE(latency.has_value());
   EXPECT_DOUBLE_EQ(*latency, 20.0);
   EXPECT_FALSE(job_latency({}).has_value());
-}
-
-TEST(SparkEventLog, SpeedupFromLogsMatchesLatencyRatio) {
-  SparkJobResult seq = two_stage_job();
-  seq.stages[0].completion_time = 50.0;
-  seq.stages[1].submission_time = 50.0;
-  seq.stages[1].completion_time = 80.0;
-  const auto speedup =
-      speedup_from_logs(to_event_log(seq), to_event_log(two_stage_job()));
-  ASSERT_TRUE(speedup.has_value());
-  EXPECT_DOUBLE_EQ(*speedup, 80.0 / 20.0);
-  EXPECT_FALSE(speedup_from_logs("", to_event_log(two_stage_job()))
-                   .has_value());
 }
 
 TEST(SparkEventLog, StageLatencyTotalsSumRepeatedStages) {

@@ -1,6 +1,7 @@
 #include "trace/experiment.h"
 #include "trace/reference_data.h"
 #include "trace/report.h"
+#include "trace/runner.h"
 
 #include "workloads/qmc_pi.h"
 #include "workloads/sort.h"
@@ -21,20 +22,22 @@ MrSweepConfig small_sweep() {
 }
 
 TEST(MrSweep, RejectsEmptyOrZeroReps) {
+  ExperimentRunner runner;
   const auto base = sim::default_emr_cluster(1);
   MrSweepConfig sweep = small_sweep();
   sweep.ns = {};
-  EXPECT_THROW(run_mr_sweep(wl::sort_spec(), base, sweep),
+  EXPECT_THROW(runner.run_mr_sweep(wl::sort_spec(), base, sweep),
                std::invalid_argument);
   sweep = small_sweep();
   sweep.repetitions = 0;
-  EXPECT_THROW(run_mr_sweep(wl::sort_spec(), base, sweep),
+  EXPECT_THROW(runner.run_mr_sweep(wl::sort_spec(), base, sweep),
                std::invalid_argument);
 }
 
 TEST(MrSweep, NormalizesFactorsAtNOne) {
-  const auto r = run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1),
-                              small_sweep());
+  ExperimentRunner runner;
+  const auto r = runner.run_mr_sweep(
+      wl::sort_spec(), sim::default_emr_cluster(1), small_sweep());
   ASSERT_EQ(r.points.size(), 4u);
   EXPECT_NEAR(r.factors.ex[0].y, 1.0, 1e-9);
   EXPECT_NEAR(r.factors.in[0].y, 1.0, 1e-9);
@@ -44,35 +47,39 @@ TEST(MrSweep, NormalizesFactorsAtNOne) {
 }
 
 TEST(MrSweep, FixedTimeExternalScalingIsLinear) {
-  const auto r = run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1),
-                              small_sweep());
+  ExperimentRunner runner;
+  const auto r = runner.run_mr_sweep(
+      wl::sort_spec(), sim::default_emr_cluster(1), small_sweep());
   for (const auto& p : r.factors.ex) EXPECT_NEAR(p.y, p.x, 0.01 * p.x);
 }
 
 TEST(MrSweep, FixedSizeKeepsTotalWorkConstant) {
+  ExperimentRunner runner;
   MrSweepConfig sweep = small_sweep();
   sweep.type = WorkloadType::kFixedSize;
   sweep.bytes = 512e6;
-  const auto r = run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1),
-                              sweep);
+  const auto r =
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
   for (const auto& p : r.factors.ex) EXPECT_NEAR(p.y, 1.0, 0.01);
 }
 
 TEST(MrSweep, RepetitionAveragingIsStableWithoutNoise) {
+  ExperimentRunner runner;
   MrSweepConfig one = small_sweep();
   MrSweepConfig many = small_sweep();
   many.repetitions = 5;
   const auto base = sim::default_emr_cluster(1);
-  const auto a = run_mr_sweep(wl::sort_spec(), base, one);
-  const auto b = run_mr_sweep(wl::sort_spec(), base, many);
+  const auto a = runner.run_mr_sweep(wl::sort_spec(), base, one);
+  const auto b = runner.run_mr_sweep(wl::sort_spec(), base, many);
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     EXPECT_NEAR(a.points[i].speedup, b.points[i].speedup, 1e-9);
   }
 }
 
 TEST(MrSweep, LawBaselineMatchesEta) {
-  const auto r = run_mr_sweep(wl::qmc_pi_spec(), sim::default_emr_cluster(1),
-                              small_sweep());
+  ExperimentRunner runner;
+  const auto r = runner.run_mr_sweep(
+      wl::qmc_pi_spec(), sim::default_emr_cluster(1), small_sweep());
   const auto gustafson = law_baseline(r, WorkloadType::kFixedTime);
   ASSERT_EQ(gustafson.size(), 4u);
   EXPECT_NEAR(gustafson[3].y, r.factors.eta * 8.0 + (1 - r.factors.eta),
@@ -84,20 +91,21 @@ TEST(MrSweep, LawBaselineMatchesEta) {
 TEST(MrSweep, MemoryBoundedTracksFixedTime) {
   // Paper Section IV / Fig. 6: with block-capped working sets g(n) ~ n,
   // so the memory-bounded sweep coincides with the fixed-time one.
+  ExperimentRunner runner;
   MrSweepConfig mem;
   mem.type = WorkloadType::kMemoryBounded;
   mem.bytes = 64e9;  // far more data than 8 blocks
   mem.ns = {1, 2, 4, 8};
   mem.repetitions = 1;
   const auto r =
-      run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), mem);
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), mem);
   for (const auto& p : r.factors.ex) EXPECT_NEAR(p.y, p.x, 0.01 * p.x);
 
   MrSweepConfig ft = mem;
   ft.type = WorkloadType::kFixedTime;
   ft.bytes = kMemoryBlockBytes;
   const auto g =
-      run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), ft);
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), ft);
   for (std::size_t i = 0; i < r.speedup.size(); ++i) {
     EXPECT_NEAR(r.speedup[i].y, g.speedup[i].y, 1e-9);
   }
@@ -106,13 +114,14 @@ TEST(MrSweep, MemoryBoundedTracksFixedTime) {
 TEST(MrSweep, MemoryBoundedExhaustsSmallData) {
   // When the data runs out, each unit's share shrinks below the block:
   // g(n) flattens (the memory bound is no longer binding).
+  ExperimentRunner runner;
   MrSweepConfig mem;
   mem.type = WorkloadType::kMemoryBounded;
   mem.bytes = 4 * kMemoryBlockBytes;  // only 4 blocks of data
   mem.ns = {1, 2, 4, 8, 16};
   mem.repetitions = 1;
   const auto r =
-      run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), mem);
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), mem);
   // EX(16) is capped at the total data (4 blocks = 4 x EX(1)).
   EXPECT_NEAR(r.factors.ex[4].y, 4.0, 0.05);
 }
@@ -176,11 +185,12 @@ TEST(Report, BannerContainsTitle) {
 // --- Spark sweep plumbing
 
 TEST(SparkSweep, RejectsEmpty) {
+  ExperimentRunner runner;
   SparkSweepConfig sweep;
   sweep.ms = {};
   EXPECT_THROW(
-      run_spark_sweep([](std::size_t) { return spark::SparkAppSpec{}; },
-                      sim::default_emr_cluster(1), sweep),
+      runner.run_spark_sweep([](std::size_t) { return spark::SparkAppSpec{}; },
+                             sim::default_emr_cluster(1), sweep),
       std::invalid_argument);
 }
 

@@ -1,4 +1,5 @@
 #include "trace/json.h"
+#include "trace/runner.h"
 
 #include "workloads/sort.h"
 
@@ -25,12 +26,13 @@ TEST(Json, EscapesQuotes) {
 }
 
 TEST(Json, MrSweepContainsAllSections) {
+  ExperimentRunner runner;
   MrSweepConfig sweep;
   sweep.type = WorkloadType::kFixedTime;
   sweep.ns = {1, 2, 4};
   sweep.repetitions = 1;
   const auto r =
-      run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
   const std::string j = to_json(r);
   for (const char* key :
        {"\"kind\":\"mr_sweep\"", "\"eta\":", "\"speedup\":", "\"ex\":",
@@ -41,12 +43,13 @@ TEST(Json, MrSweepContainsAllSections) {
 }
 
 TEST(Json, MrSweepPointCountMatches) {
+  ExperimentRunner runner;
   MrSweepConfig sweep;
   sweep.type = WorkloadType::kFixedTime;
   sweep.ns = {1, 2, 4, 8};
   sweep.repetitions = 1;
   const auto r =
-      run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
   const std::string j = to_json(r);
   std::size_t count = 0, pos = 0;
   while ((pos = j.find("\"parallel_time\"", pos)) != std::string::npos) {
@@ -57,12 +60,13 @@ TEST(Json, MrSweepPointCountMatches) {
 }
 
 TEST(Json, BalancedBracesAndBrackets) {
+  ExperimentRunner runner;
   MrSweepConfig sweep;
   sweep.type = WorkloadType::kFixedSize;
   sweep.ns = {1, 2};
   sweep.repetitions = 1;
   const auto r =
-      run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
   const std::string j = to_json(r);
   int braces = 0, brackets = 0;
   for (char c : j) {
@@ -159,12 +163,13 @@ TEST(JsonParse, ParseDumpParseIsIdentity) {
 }
 
 TEST(JsonParse, SweepExportsParseCleanly) {
+  ExperimentRunner runner;
   MrSweepConfig sweep;
   sweep.type = WorkloadType::kFixedTime;
   sweep.ns = {1, 2, 4};
   sweep.repetitions = 1;
   const auto r =
-      run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
+      runner.run_mr_sweep(wl::sort_spec(), sim::default_emr_cluster(1), sweep);
   const auto doc = parse_json(to_json(r));
   ASSERT_TRUE(doc.has_value()) << doc.error().to_string();
   EXPECT_EQ(doc->get("kind")->as_string(), "mr_sweep");

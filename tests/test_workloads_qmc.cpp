@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace ipso::wl {
 namespace {
@@ -44,15 +45,20 @@ TEST(QmcMap, DisjointSlicesTileTheSequence) {
   EXPECT_EQ(a.outside + b.outside, whole.outside);
 }
 
+/// Estimate of pi from one task over the first `samples` Halton points.
+double single_task_estimate(std::uint64_t samples) {
+  const QmcTally t = qmc_map(0, samples);
+  return qmc_estimate(&t, 1);
+}
+
 TEST(QmcEstimate, ConvergesToPi) {
   // Quasi-random sequences converge ~1/N: 200k samples is plenty for 1e-2.
-  const double pi = qmc_pi_run(8, 25000);
-  EXPECT_NEAR(pi, M_PI, 1e-2);
+  EXPECT_NEAR(single_task_estimate(200000), M_PI, 1e-2);
 }
 
 TEST(QmcEstimate, MoreSamplesTightens) {
-  const double rough = std::abs(qmc_pi_run(1, 2000) - M_PI);
-  const double fine = std::abs(qmc_pi_run(1, 200000) - M_PI);
+  const double rough = std::abs(single_task_estimate(2000) - M_PI);
+  const double fine = std::abs(single_task_estimate(200000) - M_PI);
   EXPECT_LT(fine, rough);
 }
 
@@ -62,7 +68,16 @@ TEST(QmcEstimate, EmptyTallyIsZero) {
 
 TEST(QmcEstimate, TaskCountDoesNotChangeResult) {
   // Same total samples, different task splits: identical estimate.
-  EXPECT_DOUBLE_EQ(qmc_pi_run(4, 10000), qmc_pi_run(8, 5000));
+  std::vector<QmcTally> four;
+  std::vector<QmcTally> eight;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    four.push_back(qmc_map(t * 10000, 10000));
+  }
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    eight.push_back(qmc_map(t * 5000, 5000));
+  }
+  EXPECT_DOUBLE_EQ(qmc_estimate(four.data(), four.size()),
+                   qmc_estimate(eight.data(), eight.size()));
 }
 
 TEST(QmcSpec, NearZeroSerialPortion) {

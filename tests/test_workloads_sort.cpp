@@ -37,14 +37,17 @@ TEST(Sort, MergeHandlesEmptyRuns) {
 
 TEST(Sort, EndToEndIsPermutationAndSorted) {
   const Dictionary dict;
-  const auto out = sort_run(dict, 42, 4, 3000);
-  EXPECT_TRUE(is_sorted_output(out));
-  // Permutation check: re-tokenize inputs and compare multisets via sort.
+  std::vector<std::vector<std::string>> runs;
   std::vector<std::string> expected;
   for (std::uint64_t s = 0; s < 4; ++s) {
-    const auto toks = tokenize(generate_text(dict, 42 + s, 3000));
+    const std::string shard = generate_text(dict, 42 + s, 3000);
+    runs.push_back(sort_map(shard));
+    const auto toks = tokenize(shard);
     expected.insert(expected.end(), toks.begin(), toks.end());
   }
+  const auto out = sort_merge(runs);
+  EXPECT_TRUE(is_sorted_output(out));
+  // Permutation check: compare multisets via sort.
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(out, expected);
 }
@@ -73,44 +76,16 @@ TEST(TeraSort, MapSortsByKey) {
 TEST(TeraSort, EndToEndSortedAndChecksumPreserved) {
   const std::size_t shards = 4, per_shard = 400;
   std::uint64_t checksum_in = 0;
+  std::vector<std::vector<TeraRecord>> runs;
   for (std::size_t s = 0; s < shards; ++s) {
-    checksum_in ^= tera_checksum(teragen(100 + s, per_shard));
+    auto shard = teragen(100 + s, per_shard);
+    checksum_in ^= tera_checksum(shard);
+    runs.push_back(terasort_map(std::move(shard)));
   }
-  const auto out = terasort_run(100, shards, per_shard);
+  const auto out = terasort_merge(runs);
   ASSERT_EQ(out.size(), shards * per_shard);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   EXPECT_EQ(tera_checksum(out), checksum_in);
-}
-
-TEST(TeraSort, SplitKeysPartitionEvenly) {
-  const auto sample = teragen(7, 4000);
-  const auto splits = terasort_split_keys(sample, 4);
-  ASSERT_EQ(splits.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(splits.begin(), splits.end()));
-  // Partition the sample and check balance within a factor of 2.
-  std::vector<std::size_t> counts(4, 0);
-  for (const auto& rec : sample) {
-    ++counts[terasort_partition(rec.key, splits)];
-  }
-  for (auto c : counts) {
-    EXPECT_GT(c, sample.size() / 8);
-    EXPECT_LT(c, sample.size() / 2);
-  }
-}
-
-TEST(TeraSort, PartitionOfExtremeKeys) {
-  const auto sample = teragen(9, 1000);
-  const auto splits = terasort_split_keys(sample, 4);
-  std::array<std::uint8_t, 10> lo{};  // all zero: before every split
-  std::array<std::uint8_t, 10> hi;
-  hi.fill(0xff);
-  EXPECT_EQ(terasort_partition(lo, splits), 0u);
-  EXPECT_EQ(terasort_partition(hi, splits), 3u);
-}
-
-TEST(TeraSort, SinglePartitionHasNoSplits) {
-  const auto sample = teragen(9, 100);
-  EXPECT_TRUE(terasort_split_keys(sample, 1).empty());
 }
 
 TEST(TeraSortSpec, SpillEnabledAndInProportion) {

@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -52,6 +51,7 @@ namespace {
 
 using ipso::stats::Series;
 using ipso::trace::flag_or_die;
+using ipso::trace::has_flag;
 
 constexpr char kProgram[] = "ipso_client";
 
@@ -103,13 +103,6 @@ double double_flag(int argc, char** argv, const char* flag, double min_value,
       kProgram, ipso::trace::double_flag_from_args(
                     argc, argv, flag, std::numeric_limits<double>::quiet_NaN(),
                     min_value, max_value));
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
 }
 
 /// "[[x,y],...]" with max_digits10 doubles, so resubmitting the same CSV
